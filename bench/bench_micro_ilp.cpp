@@ -5,7 +5,8 @@
 // should pay it once, not once per client (ScheduleCache).
 // Emits BENCH_micro_ilp.json with cache-hit-rate columns; the committed
 // baseline under bench/baselines holds the uncached per-solve numbers the
-// acceptance ratio divides by.
+// acceptance ratio divides by.  A last section runs the branch-and-bound
+// crawl fixture (tests/ilp/crawl_fixture.hpp) at growing node caps.
 #include <chrono>
 #include <cstdio>
 
@@ -13,6 +14,7 @@
 #include "core/oracle_controller.hpp"
 #include "device/device_model.hpp"
 #include "figure_common.hpp"
+#include "ilp/crawl_fixture.hpp"
 #include "ilp/schedule_cache.hpp"
 #include "ilp/schedule_solver.hpp"
 
@@ -178,6 +180,43 @@ int main(int argc, char** argv) {
     std::printf("\n  prune 200 -> efficient set: %.1f us\n", prune_s * 1e6);
     metrics.set("prune200_seconds", prune_s);
   }
+
+  // --- The branch-and-bound crawl fixture. --------------------------------
+  // This round problem dives one bound per level under the most-fractional
+  // best-first rule and spends every node it is given; a node's cost grows
+  // with its depth.  Seeded as solve_round_schedule_pruned seeds it.
+  bench::print_header("Micro: branch-and-bound crawl fixture",
+                      "device-paper seed 20, AGX / ResNet-50, ratio 4, "
+                      "round 80; one solve per cap");
+  std::printf("  %8s %10s %12s %12s\n", "cap", "nodes", "node limit",
+              "time [ms]");
+  telemetry::JsonValue crawl_rows = telemetry::JsonValue::array();
+  {
+    const auto profiles = ilp::fixtures::crawl_profiles();
+    ilp::IlpOptions options;
+    options.relative_gap = 1e-4;
+    options.warm_start = ilp::fixtures::crawl_warm_start();
+    for (const std::size_t cap : {1000u, 4000u}) {
+      options.max_nodes = cap;
+      ilp::IlpSolution solution;
+      const double seconds = best_seconds(1, sink, [&] {
+        solution = ilp::solve_round_ilp(profiles, ilp::fixtures::kCrawlJobs,
+                                        ilp::fixtures::kCrawlDeadlineSeconds,
+                                        options);
+        return solution.objective;
+      });
+      const bool limit = solution.nodes_explored >= cap;
+      std::printf("  %8zu %10zu %12s %12.1f\n", cap, solution.nodes_explored,
+                  limit ? "yes" : "no", seconds * 1e3);
+      telemetry::JsonValue row = telemetry::JsonValue::object();
+      row.set("max_nodes", cap)
+          .set("nodes_explored", solution.nodes_explored)
+          .set("node_limit", limit)
+          .set("solve_seconds", seconds);
+      crawl_rows.push_back(std::move(row));
+    }
+  }
+  metrics.set("crawl_fixture", std::move(crawl_rows));
 
   std::printf("  (sink %.3g)\n", sink);
   bench::write_bench_json("micro_ilp", std::move(metrics));

@@ -233,9 +233,8 @@ class BoflController final : public PaceController {
   /// Finish the round's remaining jobs with the best observed schedule.
   void exploit_remaining(RoundState& state);
   /// Dominance-pruned observed_profiles(), recomputed only when a
-  /// measurement has changed the aggregate table since the last call (the
-  /// O(k^2) prune used to run on every ILP re-solve; now it runs once per
-  /// profile-table version).
+  /// measurement has changed the aggregate table since the last call —
+  /// in exploitation that is every block, so the prune is O(k log k).
   [[nodiscard]] const std::vector<ilp::ConfigProfile>& exploitation_profiles();
   /// Run the MBO update between rounds (phase 2), charging its cost.
   void mbo_update(RoundState& state);

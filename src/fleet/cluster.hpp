@@ -19,11 +19,11 @@
 // bit-identical at any shard count (see fleet_engine.hpp).
 //
 // The cluster also owns the cluster-level device::FlatPerfTable (the PR 5
-// SoA cost surface, built once per cluster instead of once per client) and
-// shares the fleet-wide ilp::ScheduleCache, so the steady-state exploitation
-// work of a million near-duplicate clients is paid once per distinct round
-// problem.  The cluster index is the "Pareto-front handle": clients carry
-// only the index; the front itself (pareto_flat_ids) lives here.
+// SoA cost surface, built once per cluster instead of once per client), so
+// the steady-state exploitation work of a million near-duplicate clients is
+// paid once per cluster entry.  The cluster index is the "Pareto-front
+// handle": clients carry only the index; the front itself
+// (pareto_flat_ids) lives here.
 #pragma once
 
 #include <cstdint>
@@ -85,10 +85,10 @@ class ClusterEngine {
   /// The underlying uniform draw stays strictly sequential in the entry
   /// index, so lazy extension reproduces the eager schedule for every
   /// factor sequence.  Distinct clusters may extend concurrently (each owns
-  /// its controller, RNG streams and fault channel; the shared
-  /// ScheduleCache is striped and bit-stable under races) — but the SAME
-  /// cluster must never be extended from two threads.  Fault episodes raised
-  /// during extension are buffered; the engine drains them in cluster-index
+  /// its controller, RNG streams and fault channel; a shared ScheduleCache
+  /// is striped and bit-stable under races) — but the SAME cluster must
+  /// never be extended from two threads.  Fault episodes raised during
+  /// extension are buffered; the engine drains them in cluster-index
   /// order via flush_fault_events() so the telemetry stream stays canonical
   /// regardless of extension order.
   void extend_to(std::size_t entries, double deadline_factor = 1.0);

@@ -238,13 +238,12 @@ FleetEngine::FleetEngine(FleetConfig config) : config_(std::move(config)) {
   if (config_.fault_plan.has_value()) {
     injector_.emplace(*config_.fault_plan, config_.seed);
   }
-  cache_ = std::make_unique<ilp::ScheduleCache>();
   const faults::FaultInjector* injector =
       injector_.has_value() ? &*injector_ : nullptr;
   clusters_.reserve(specs_.size());
   for (std::size_t c = 0; c < specs_.size(); ++c) {
     clusters_.push_back(std::make_unique<ClusterEngine>(
-        c, specs_[c], config_, cache_.get(), injector));
+        c, specs_[c], config_, nullptr, injector));
   }
 
   const std::size_t num_shards =
@@ -509,8 +508,7 @@ FleetRoundStats FleetEngine::run_round(std::int64_t round,
   // extend canonical trajectories under the diurnal deadline factor, then
   // draw the round's deadline jitter (one fleet-wide factor, as in
   // fl::Simulation).  Extension fans out over the pool — clusters are
-  // independent (own controller, RNG streams, fault channel; the shared
-  // ScheduleCache is striped and bit-stable under races) — unless
+  // independent (own controller, RNG streams, fault channel) — unless
   // serial_control_plane pins it to this thread.  Either way the fault
   // events buffered during extension flush serially in cluster-index order,
   // so the telemetry stream is identical in both modes.

@@ -37,7 +37,6 @@
 #include "fleet/client_shard.hpp"
 #include "fleet/cluster.hpp"
 #include "fleet/fleet_config.hpp"
-#include "ilp/schedule_cache.hpp"
 #include "runtime/thread_pool.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -135,8 +134,8 @@ struct FleetResult {
 
 class FleetEngine {
  public:
-  /// Builds shards, clusters and the shared schedule cache.  Throws on an
-  /// invalid config (no clients, zero-weight mix, > 65535 clusters).
+  /// Builds shards and clusters.  Throws on an invalid config (no clients,
+  /// zero-weight mix, > 65535 clusters).
   explicit FleetEngine(FleetConfig config);
   ~FleetEngine();
 
@@ -197,7 +196,6 @@ class FleetEngine {
   std::vector<device::DeviceModel> owned_models_;
   std::vector<ClusterSpec> specs_;
   std::vector<double> cluster_cdf_;  ///< cumulative normalized weights
-  std::unique_ptr<ilp::ScheduleCache> cache_;
   std::optional<faults::FaultInjector> injector_;
   std::vector<std::unique_ptr<ClusterEngine>> clusters_;
   std::vector<ClientShard> shards_;

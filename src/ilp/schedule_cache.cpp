@@ -1,6 +1,5 @@
 #include "ilp/schedule_cache.hpp"
 
-#include <cmath>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -45,10 +44,7 @@ ScheduleCache::Key ScheduleCache::make_key(
     key.words.push_back(bits_of(p.latency_per_job));
   }
   key.words.push_back(static_cast<std::uint64_t>(num_jobs));
-  const double quantum = options_.deadline_quantum;
-  key.words.push_back(quantum > 0.0
-                          ? bits_of(std::floor(deadline_seconds / quantum))
-                          : bits_of(deadline_seconds));
+  key.words.push_back(bits_of(deadline_seconds));
   key.words.push_back(static_cast<std::uint64_t>(options.max_nodes));
   key.words.push_back(bits_of(options.integrality_tolerance));
   key.words.push_back(bits_of(options.relative_gap));
@@ -129,8 +125,6 @@ Schedule ScheduleCache::solve_pruned(const std::vector<ConfigProfile>& pruned,
   const Key key = make_key(pruned, num_jobs, deadline_seconds, options);
   Stripe& stripe = stripe_for(key);
 
-  IlpOptions tuned = options;
-  bool warm_started = false;
   {
     std::unique_lock<std::mutex> lock = lock_stripe(stripe);
     auto it = stripe.entries.find(key);
@@ -142,23 +136,12 @@ Schedule ScheduleCache::solve_pruned(const std::vector<ConfigProfile>& pruned,
   }
   stripe.misses.fetch_add(1, std::memory_order_relaxed);
   count("ilp.cache_miss");
-  if (options_.warm_start_resolves) {
-    std::lock_guard<std::mutex> warm_lock(warm_mutex_);
-    if (last_num_jobs_ == num_jobs && last_counts_.size() == pruned.size()) {
-      tuned.warm_start = last_counts_;  // validated inside solve_ilp
-      warm_started = true;
-      warm_starts_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (warm_started) {
-    count("ilp.cache_warm_start");
-  }
 
   // Solve outside any lock: distinct round problems from different threads
   // proceed in parallel.  A same-key race costs one duplicate solve of a
   // deterministic problem — both threads store identical bits.
   const Schedule schedule =
-      solve_round_schedule_pruned(pruned, num_jobs, deadline_seconds, tuned);
+      solve_round_schedule_pruned(pruned, num_jobs, deadline_seconds, options);
 
   if (total_entries_.load(std::memory_order_relaxed) >= options_.max_entries) {
     wipe_if_full();
@@ -172,14 +155,6 @@ Schedule ScheduleCache::solve_pruned(const std::vector<ConfigProfile>& pruned,
       total_entries_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  if (options_.warm_start_resolves && schedule.feasible) {
-    std::lock_guard<std::mutex> warm_lock(warm_mutex_);
-    last_counts_.assign(pruned.size(), 0);
-    for (const auto& [index, jobs] : schedule.assignments) {
-      last_counts_[index] = jobs;
-    }
-    last_num_jobs_ = num_jobs;
-  }
   return schedule;
 }
 
@@ -191,7 +166,6 @@ ScheduleCache::Stats ScheduleCache::stats() const {
     stats.stripe_waits += stripe.waits.load(std::memory_order_relaxed);
   }
   stats.evictions = evictions_.load(std::memory_order_relaxed);
-  stats.warm_starts = warm_starts_.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -213,9 +187,6 @@ void ScheduleCache::clear() {
     stripe.count.store(0, std::memory_order_relaxed);
   }
   total_entries_.store(0, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> warm_lock(warm_mutex_);
-  last_counts_.clear();
-  last_num_jobs_ = -1;
 }
 
 }  // namespace bofl::ilp

@@ -12,15 +12,18 @@
 // the same key would reproduce bit-for-bit (the solver is deterministic and
 // keys compare exact doubles), so enabling the cache never changes any
 // simulation output — asserted cache-on vs cache-off, serial vs pooled, by
-// tests/scenarios.  The two opt-in knobs that trade this away are
-// documented on ScheduleCacheOptions.
+// tests/scenarios.
+//
+// Where it pays: fl::Simulation shares one instance across a cohort whose
+// clients converge onto the same round problem.  The fleet engine does not
+// use one — a cluster's canonical controller never repeats a round problem
+// (a fleet run logs zero hits) — but ClusterEngine still accepts one.
 //
 // Thread safety: all methods may be called concurrently (fl::Simulation
-// shares one instance across its client threads, and the fleet engine's
-// parallel control plane shares one across concurrently-extending
-// clusters).  The table is striped: each key hashes to one of
-// kStripeCount independent (mutex, map) stripes, so clusters solving
-// distinct round problems almost never serialize on a lock.  Misses solve
+// shares one instance across its client threads).  The table is striped:
+// each key hashes to one of kStripeCount independent (mutex, map) stripes,
+// so threads solving distinct round problems almost never serialize on a
+// lock.  Misses solve
 // OUTSIDE any lock so distinct problems solve in parallel.  If two
 // threads race on the same key both solve it and store the same bits —
 // wasted work, never wrong results.  Stats are relaxed atomics per
@@ -42,22 +45,6 @@ struct ScheduleCacheOptions {
   /// Entry cap; reaching it wipes the cache (steady-state keys re-insert
   /// within a round, and a wipe can only cost re-solves, never wrong bits).
   std::size_t max_entries = 4096;
-  /// 0 (default): deadlines are keyed on their exact bits — required for
-  /// the bit-identity guarantee.  > 0: deadlines are bucketed to
-  /// floor(deadline / quantum) for keying, so rounds whose deadlines differ
-  /// by less than one quantum share an entry (the hit returns the schedule
-  /// solved for the FIRST deadline seen in the bucket).  Raises hit rates
-  /// under drifting deadlines at the cost of exactness; leave at 0 unless
-  /// the deadline slack dwarfs the quantum.
-  double deadline_quantum = 0.0;
-  /// Opt-in: seed each miss's branch-and-bound incumbent with the most
-  /// recently solved schedule (when its shape fits the new problem).  This
-  /// SKIPS the solver's own O(k^2) two-profile warm start and, under a
-  /// nonzero relative_gap, a different incumbent can change which
-  /// near-optimal schedule is certified — so re-solves are no longer
-  /// bit-identical to cold solves and results may depend on solve order.
-  /// Off by default; never enabled by the simulation paths.
-  bool warm_start_resolves = false;
 };
 
 class ScheduleCache {
@@ -87,7 +74,6 @@ class ScheduleCache {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;     ///< whole-cache wipes at max_entries
-    std::uint64_t warm_starts = 0;   ///< misses seeded by warm_start_resolves
     std::uint64_t stripe_waits = 0;  ///< lock acquisitions that had to block
   };
   /// Lock-free: sums the per-stripe relaxed atomics.  Exact once the cache
@@ -103,7 +89,7 @@ class ScheduleCache {
  private:
   struct Key {
     /// Exact bit patterns: per profile (energy, latency), then job count,
-    /// the (possibly bucketed) deadline word, and the solver options that
+    /// the deadline, and the solver options that
     /// steer the search (max_nodes, integrality_tolerance, relative_gap).
     /// config_id is deliberately excluded — assignments are positional and
     /// the solver never reads it.
@@ -152,14 +138,6 @@ class ScheduleCache {
   /// quiescent, may lag by in-flight inserts under contention.
   std::atomic<std::size_t> total_entries_{0};
   std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::uint64_t> warm_starts_{0};
-  /// warm_start_resolves state: counts of the most recent pruned-space
-  /// solve, reused as the next miss's incumbent when shapes line up.
-  /// Guarded by its own mutex — the opt-in knob is inherently
-  /// order-dependent, so contention here is irrelevant to the default path.
-  mutable std::mutex warm_mutex_;
-  std::vector<std::int64_t> last_counts_;
-  std::int64_t last_num_jobs_ = -1;
 };
 
 }  // namespace bofl::ilp

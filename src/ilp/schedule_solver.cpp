@@ -10,29 +10,46 @@ namespace bofl::ilp {
 
 namespace {
 
-/// Indices of profiles not Pareto-dominated in (energy, latency).
+/// Indices of profiles not Pareto-dominated in (energy, latency), in input
+/// order.  In (energy, latency, index) order every profile that could
+/// dominate a profile — or precede it as an exact duplicate — comes before
+/// it, so a profile survives iff its latency is strictly below the running
+/// minimum.  A profile with a NaN field dominates nothing and is never
+/// dominated; it is kept and left out of the sweep.
 std::vector<std::size_t> efficient_profiles(
     const std::vector<ConfigProfile>& profiles) {
+  std::vector<char> keep(profiles.size(), 0);
+  std::vector<std::size_t> order;
+  order.reserve(profiles.size());
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    if (std::isnan(profiles[i].energy_per_job) ||
+        std::isnan(profiles[i].latency_per_job)) {
+      keep[i] = 1;
+    } else {
+      order.push_back(i);
+    }
+  }
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const ConfigProfile& pa = profiles[a];
+    const ConfigProfile& pb = profiles[b];
+    if (pa.energy_per_job != pb.energy_per_job) {
+      return pa.energy_per_job < pb.energy_per_job;
+    }
+    if (pa.latency_per_job != pb.latency_per_job) {
+      return pa.latency_per_job < pb.latency_per_job;
+    }
+    return a < b;
+  });
+  double fastest = std::numeric_limits<double>::infinity();
+  for (std::size_t i : order) {
+    if (profiles[i].latency_per_job < fastest) {
+      fastest = profiles[i].latency_per_job;
+      keep[i] = 1;
+    }
+  }
   std::vector<std::size_t> kept;
   for (std::size_t i = 0; i < profiles.size(); ++i) {
-    bool dominated = false;
-    for (std::size_t j = 0; j < profiles.size() && !dominated; ++j) {
-      if (i == j) {
-        continue;
-      }
-      const bool no_worse =
-          profiles[j].energy_per_job <= profiles[i].energy_per_job &&
-          profiles[j].latency_per_job <= profiles[i].latency_per_job;
-      const bool strictly_better =
-          profiles[j].energy_per_job < profiles[i].energy_per_job ||
-          profiles[j].latency_per_job < profiles[i].latency_per_job;
-      // Tie-break exact duplicates by index so exactly one survives.
-      const bool duplicate_priority =
-          profiles[j].energy_per_job == profiles[i].energy_per_job &&
-          profiles[j].latency_per_job == profiles[i].latency_per_job && j < i;
-      dominated = (no_worse && strictly_better) || duplicate_priority;
-    }
-    if (!dominated) {
+    if (keep[i] != 0) {
       kept.push_back(i);
     }
   }
@@ -40,17 +57,15 @@ std::vector<std::size_t> efficient_profiles(
 }
 
 Schedule finalize(const std::vector<ConfigProfile>& profiles,
-                  const std::vector<std::size_t>& kept,
                   const std::vector<std::int64_t>& counts) {
   Schedule schedule;
   schedule.feasible = true;
-  for (std::size_t k = 0; k < kept.size(); ++k) {
+  for (std::size_t k = 0; k < profiles.size(); ++k) {
     if (counts[k] > 0) {
-      const std::size_t original = kept[k];
-      schedule.assignments.emplace_back(original, counts[k]);
+      schedule.assignments.emplace_back(k, counts[k]);
       const auto jobs = static_cast<double>(counts[k]);
-      schedule.total_energy += jobs * profiles[original].energy_per_job;
-      schedule.total_latency += jobs * profiles[original].latency_per_job;
+      schedule.total_energy += jobs * profiles[k].energy_per_job;
+      schedule.total_latency += jobs * profiles[k].latency_per_job;
     }
   }
   return schedule;
@@ -124,25 +139,6 @@ Schedule solve_round_schedule_pruned(const std::vector<ConfigProfile>& pruned,
     return {};
   }
 
-  LpProblem problem;
-  problem.objective.resize(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    problem.objective[i] = profiles[i].energy_per_job;
-  }
-  LpConstraint all_jobs;
-  all_jobs.coefficients.assign(k, 1.0);
-  all_jobs.relation = Relation::kEqual;
-  all_jobs.rhs = static_cast<double>(num_jobs);
-  problem.constraints.push_back(std::move(all_jobs));
-  LpConstraint deadline;
-  deadline.coefficients.resize(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    deadline.coefficients[i] = profiles[i].latency_per_job;
-  }
-  deadline.relation = Relation::kLessEqual;
-  deadline.rhs = deadline_seconds;
-  problem.constraints.push_back(std::move(deadline));
-
   IlpOptions tuned = options;
   if (tuned.relative_gap == 0.0) {
     // 0.01 % energy tolerance — two orders of magnitude below the power
@@ -202,19 +198,16 @@ Schedule solve_round_schedule_pruned(const std::vector<ConfigProfile>& pruned,
       }
     }
     if (found) {
-      tuned.warm_start = std::move(best);  // validated inside solve_ilp
+      tuned.warm_start = std::move(best);  // validated by solve_round_ilp
     }
   }
 
-  const IlpSolution ilp = solve_ilp(problem, tuned);
+  const IlpSolution ilp =
+      solve_round_ilp(profiles, num_jobs, deadline_seconds, tuned);
   if (ilp.status != IlpStatus::kOptimal) {
     return {};
   }
-  std::vector<std::size_t> identity(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    identity[i] = i;
-  }
-  return finalize(profiles, identity, ilp.x);
+  return finalize(profiles, ilp.x);
 }
 
 Schedule solve_round_schedule_exhaustive(
@@ -261,11 +254,7 @@ Schedule solve_round_schedule_exhaustive(
   if (best_counts.empty()) {
     return {};
   }
-  std::vector<std::size_t> identity(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    identity[i] = i;
-  }
-  return finalize(profiles, identity, best_counts);
+  return finalize(profiles, best_counts);
 }
 
 }  // namespace bofl::ilp

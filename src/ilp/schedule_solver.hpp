@@ -6,8 +6,8 @@
 //              n_k >= 0, integer
 //
 // over the (approximated) Pareto set of measured configurations
-// {(E_k, T_k)}.  Solved by branch-and-bound ILP; an exhaustive reference
-// solver cross-checks optimality in the tests.
+// {(E_k, T_k)}.  Solved by branch-and-bound ILP (ilp/branch_and_bound.hpp);
+// an exhaustive reference solver cross-checks optimality in the tests.
 #pragma once
 
 #include <cstdint>
@@ -16,13 +16,6 @@
 #include "ilp/branch_and_bound.hpp"
 
 namespace bofl::ilp {
-
-/// One measured configuration eligible for scheduling.
-struct ConfigProfile {
-  std::size_t config_id = 0;      ///< caller-defined identity (DVFS index)
-  double energy_per_job = 0.0;    ///< E_k  [J]
-  double latency_per_job = 0.0;   ///< T_k  [s]
-};
 
 /// Job assignment for one round.
 struct Schedule {
@@ -43,8 +36,10 @@ struct PrunedProfiles {
 };
 
 /// Remove profiles Pareto-dominated in (energy, latency); exact duplicates
-/// keep only the lowest-index copy.  O(k^2).  Idempotent: pruning an
-/// already-pruned set returns it unchanged with the identity mapping —
+/// keep only the lowest-index copy.  O(k log k): a skyline sweep in
+/// (energy, latency, index) order keeps a profile iff its latency is below
+/// every latency before it.  Idempotent: pruning an already-pruned set
+/// returns it unchanged with the identity mapping —
 /// which is what lets callers (BoflController) hoist this out of the
 /// per-round loop and re-run it only when the observed Pareto set changes.
 [[nodiscard]] PrunedProfiles prune_dominated_profiles(
@@ -59,7 +54,7 @@ struct PrunedProfiles {
     double deadline_seconds, const IlpOptions& options = {});
 
 /// Same round problem, but `pruned` MUST already be dominance-free (the
-/// output of prune_dominated_profiles).  Skips the O(k^2) prune; returned
+/// output of prune_dominated_profiles).  Skips the prune; returned
 /// assignment indices refer to `pruned` itself.  With the prune hoisted,
 /// solve_round_schedule(P, ...) is bit-identical to solving
 /// prune_dominated_profiles(P).profiles here and mapping indices through

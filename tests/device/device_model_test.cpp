@@ -7,8 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <ostream>
 
 namespace bofl::device {
+
+// Without this gtest prints a WorkloadProfile as raw bytes, which include the
+// name string's heap pointer, so the discovered ctest names changed per build.
+void PrintTo(const WorkloadProfile& profile, std::ostream* os) {
+  *os << profile.name;
+}
+
 namespace {
 
 class PaperWorkloads : public ::testing::TestWithParam<WorkloadProfile> {};

@@ -1,4 +1,4 @@
-#include "ilp/branch_and_bound.hpp"
+#include "ilp/reference/branch_and_bound.hpp"
 
 #include <gtest/gtest.h>
 
@@ -6,7 +6,7 @@
 
 #include "common/rng.hpp"
 
-namespace bofl::ilp {
+namespace bofl::ilp::reference {
 namespace {
 
 TEST(BranchAndBound, IntegralRelaxationNeedsNoBranching) {
@@ -185,4 +185,4 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BnbRandomized,
                          ::testing::Range<std::uint64_t>(1, 26));
 
 }  // namespace
-}  // namespace bofl::ilp
+}  // namespace bofl::ilp::reference

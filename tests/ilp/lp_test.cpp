@@ -1,8 +1,8 @@
-#include "ilp/lp.hpp"
+#include "ilp/reference/lp.hpp"
 
 #include <gtest/gtest.h>
 
-namespace bofl::ilp {
+namespace bofl::ilp::reference {
 namespace {
 
 LpProblem two_var_problem() {
@@ -125,4 +125,4 @@ TEST(SimplexLp, SchedulerShapedProblem) {
 }
 
 }  // namespace
-}  // namespace bofl::ilp
+}  // namespace bofl::ilp::reference

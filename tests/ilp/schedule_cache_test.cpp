@@ -156,37 +156,6 @@ TEST(ScheduleCache, EvictionWipesAtCapacity) {
                        solve_round_schedule(profiles, 3, 100.0));
 }
 
-TEST(ScheduleCache, DeadlineQuantumBucketsNearbyDeadlines) {
-  ScheduleCacheOptions cache_options;
-  cache_options.deadline_quantum = 1.0;
-  ScheduleCache cache(cache_options);
-  const std::vector<ConfigProfile> profiles{{0, 1.0, 0.5}, {1, 2.0, 0.25}};
-  const Schedule first = cache.solve(profiles, 10, 50.2);
-  const Schedule bucketed = cache.solve(profiles, 10, 50.9);  // same bucket
-  expect_bitwise_equal(first, bucketed);  // served from the 50.2 solve
-  EXPECT_EQ(cache.stats().hits, 1u);
-  (void)cache.solve(profiles, 10, 51.1);  // next bucket
-  EXPECT_EQ(cache.stats().misses, 2u);
-}
-
-TEST(ScheduleCache, WarmStartResolvesIsOptInAndCounted) {
-  ScheduleCacheOptions cache_options;
-  cache_options.warm_start_resolves = true;
-  ScheduleCache cache(cache_options);
-  const std::vector<ConfigProfile> profiles{{0, 1.0, 0.5}, {1, 2.0, 0.25}};
-  const Schedule a = cache.solve_pruned(profiles, 10, 100.0);
-  ASSERT_TRUE(a.feasible);
-  // Same shape, different deadline: the previous counts seed the incumbent.
-  const Schedule b = cache.solve_pruned(profiles, 10, 90.0);
-  EXPECT_TRUE(b.feasible);
-  EXPECT_EQ(cache.stats().warm_starts, 1u);
-  // The seeded solve still lands within the solver's certified gap of the
-  // cold solve (exact bit-identity is intentionally NOT promised here).
-  const Schedule cold = solve_round_schedule_pruned(profiles, 10, 90.0);
-  EXPECT_NEAR(b.total_energy, cold.total_energy,
-              1e-4 * cold.total_energy + 1e-12);
-}
-
 TEST(ScheduleCache, ConcurrentSolvesAcrossStripesStayBitIdentical) {
   // The striped-lock contract: many threads hammering a mix of keys (hits,
   // racing cold misses, capacity wipes excluded — large max_entries) must
