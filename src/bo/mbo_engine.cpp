@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
+#include "gp/candidate_panel.hpp"
 #include "pareto/hypervolume.hpp"
 #include "telemetry/scoped_timer.hpp"
 
@@ -192,8 +193,6 @@ std::vector<std::size_t> MboEngine::propose_batch(std::size_t batch_size) {
   warm_fit2_ = h2;
   gp::GaussianProcess gp1(h1.kernel, h1.noise_variance);
   gp::GaussianProcess gp2(h2.kernel, h2.noise_variance);
-  gp1.set_full_refit(options_.full_refit);
-  gp2.set_full_refit(options_.full_refit);
   gp1.set_parallel_pool(pool_);
   gp2.set_parallel_pool(pool_);
   gp1.condition(inputs, z1);
@@ -224,18 +223,44 @@ std::vector<std::size_t> MboEngine::propose_batch(std::size_t batch_size) {
   std::vector<double> uncertainties(num_candidates);
   std::vector<GaussianPair> beliefs(num_candidates);
   std::vector<double> thompson_draws;  // two pre-split normals per candidate
-  // Cached cross-covariance rows, one per scorable candidate and GP:
-  // kstar1[c][i] = k1(candidates_[c], X_i) over the (growing) training set.
-  // Built once on the first pick, then extended by a single kernel
-  // evaluation per fantasized observation — the per-pick cost drops from
-  // O(m * n) kernel evaluations to O(m).
-  std::vector<linalg::Vector> kstar1;
-  std::vector<linalg::Vector> kstar2;
+  // The candidates unobserved at pick 0, in fixed blocks of kBlock, each
+  // with one whitened cross-covariance panel per GP: pick 0 builds the
+  // panels, every later pick solves one new row per panel (O(n) per
+  // candidate).  Everything the scoring region touches is allocated here,
+  // on the calling thread; a block writes only its own panels, its own
+  // slice of the live_* arrays and its candidates' slots, and the block
+  // layout never depends on the pool, so batches are bit-identical for any
+  // pool size (including no pool).
+  constexpr std::size_t kBlock = 128;
+  std::vector<std::size_t> scoring;
+  for (std::size_t c = 0; c < num_candidates; ++c) {
+    if (!taken[c]) {
+      scoring.push_back(c);
+    }
+  }
   // Candidates still scorable this pick; each scoring pass evaluates the
   // acquisition (EHVI or sampled HVI) once per such candidate.
-  std::size_t scorable =
-      num_candidates - static_cast<std::size_t>(std::count(
-                           taken.begin(), taken.end(), true));
+  std::size_t scorable = scoring.size();
+  const std::size_t num_blocks = (scoring.size() + kBlock - 1) / kBlock;
+  const std::size_t capacity = gp1.num_observations() + batch_size;
+  std::vector<gp::CandidatePanel> panels1;
+  std::vector<gp::CandidatePanel> panels2;
+  panels1.reserve(num_blocks);
+  panels2.reserve(num_blocks);
+  for (std::size_t blk = 0; blk < num_blocks; ++blk) {
+    const std::size_t begin = blk * kBlock;
+    const std::size_t count = std::min(kBlock, scoring.size() - begin);
+    std::vector<const double*> points(count);
+    for (std::size_t j = 0; j < count; ++j) {
+      points[j] = candidates_[scoring[begin + j]].data();
+    }
+    panels1.emplace_back(gp1, points, capacity);
+    panels2.emplace_back(gp2, std::move(points), capacity);
+  }
+  // Per-block compaction of the untaken candidates for whole-block EHVI.
+  std::vector<std::size_t> live_index(scoring.size());
+  std::vector<GaussianPair> live_beliefs(scoring.size());
+  std::vector<double> live_values(scoring.size());
   std::uint64_t acquisition_evaluations = 0;
   for (std::size_t pick = 0; pick < batch_size; ++pick) {
     if (thompson) {
@@ -251,117 +276,49 @@ std::vector<std::size_t> MboEngine::propose_batch(std::size_t batch_size) {
       }
     }
     // Compile the frozen working front once per pick: the prune/sort/strip
-    // preprocessing moves out of the per-candidate loop, and every scoring
-    // path below — EHVI, Thompson HVI, serial or blocked — reads the same
-    // compiled geometry, so all paths agree bit-for-bit.
+    // preprocessing moves out of the per-candidate loop, and EHVI and
+    // Thompson HVI read the same compiled geometry.
     const CompiledFront compiled(front, ref, ehvi_mode);
-    // Per-candidate acquisition against the frozen working front.
-    auto score_candidate = [&](std::size_t c, const gp::Prediction& p1,
-                               const gp::Prediction& p2) {
-      const GaussianPair belief{p1.mean, p1.stddev(), p2.mean, p2.stddev()};
-      double value = 0.0;
-      if (thompson) {
-        // One marginal posterior draw per objective; the acquisition value
-        // is the deterministic HVI of the sampled point.
-        const pareto::Point2 sample{
-            belief.mu1 + belief.sigma1 * thompson_draws[2 * c],
-            belief.mu2 + belief.sigma2 * thompson_draws[2 * c + 1]};
-        value = compiled.hvi(sample);
-      } else {
-        value = compiled.ehvi(belief);
-      }
-      beliefs[c] = belief;
-      values[c] = value;
-      uncertainties[c] = p1.variance + p2.variance;
-    };
-    if (options_.full_refit) {
-      // Reference path: per-candidate kernel evaluations and solves, just
-      // as embarrassingly parallel as before.
-      runtime::parallel_for_each(pool_, num_candidates, [&](std::size_t c) {
+    runtime::parallel_for_each(pool_, num_blocks, [&](std::size_t blk) {
+      gp::CandidatePanel& panel1 = panels1[blk];
+      gp::CandidatePanel& panel2 = panels2[blk];
+      panel1.sync();
+      panel2.sync();
+      const std::size_t begin = blk * kBlock;
+      std::size_t live = 0;
+      for (std::size_t j = 0; j < panel1.size(); ++j) {
+        const std::size_t c = scoring[begin + j];
         if (taken[c]) {
-          return;
+          continue;
         }
-        score_candidate(c, gp1.predict(candidates_[c]),
-                        gp2.predict(candidates_[c]));
-      });
-    } else {
-      // Incremental path: extend the cached cross-covariance rows, then
-      // score candidates in fixed-size blocks, each block's posterior
-      // variances coming from one multi-RHS triangular solve.  The block
-      // partition depends only on `taken`, and every write lands in a
-      // per-candidate slot, so batches stay bit-identical for any pool
-      // size (including no pool).
-      if (kstar1.empty()) {
-        kstar1.resize(num_candidates);
-        kstar2.resize(num_candidates);
-        const std::size_t n0 = gp1.num_observations();
-        const std::vector<linalg::Vector>& train = gp1.inputs();
-        runtime::parallel_for_each(pool_, num_candidates, [&](std::size_t c) {
-          if (taken[c]) {
-            return;
-          }
-          kstar1[c].reserve(n0 + batch_size);
-          kstar2[c].reserve(n0 + batch_size);
-          for (std::size_t i = 0; i < n0; ++i) {
-            kstar1[c].push_back(gp1.kernel()(candidates_[c], train[i]));
-            kstar2[c].push_back(gp2.kernel()(candidates_[c], train[i]));
-          }
-        });
-      } else {
-        // One new training point since last pick: append one entry per row.
-        const linalg::Vector& x_new = gp1.inputs().back();
-        runtime::parallel_for_each(pool_, num_candidates, [&](std::size_t c) {
-          if (taken[c]) {
-            return;
-          }
-          kstar1[c].push_back(gp1.kernel()(candidates_[c], x_new));
-          kstar2[c].push_back(gp2.kernel()(candidates_[c], x_new));
-        });
-      }
-      std::vector<std::size_t> block_indices;
-      block_indices.reserve(scorable);
-      for (std::size_t c = 0; c < num_candidates; ++c) {
-        if (!taken[c]) {
-          block_indices.push_back(c);
-        }
-      }
-      constexpr std::size_t kBlock = 128;
-      const std::size_t num_blocks =
-          (block_indices.size() + kBlock - 1) / kBlock;
-      runtime::parallel_for_each(pool_, num_blocks, [&](std::size_t blk) {
-        const std::size_t begin = blk * kBlock;
-        const std::size_t count =
-            std::min(kBlock, block_indices.size() - begin);
-        std::vector<gp::Prediction> p1(count);
-        std::vector<gp::Prediction> p2(count);
-        gp1.predict_block(kstar1, block_indices.data() + begin, count,
-                          p1.data());
-        gp2.predict_block(kstar2, block_indices.data() + begin, count,
-                          p2.data());
+        const gp::Prediction p1 = panel1.predict(j);
+        const gp::Prediction p2 = panel2.predict(j);
+        const GaussianPair belief{p1.mean, p1.stddev(), p2.mean, p2.stddev()};
+        beliefs[c] = belief;
+        uncertainties[c] = p1.variance + p2.variance;
         if (thompson) {
-          for (std::size_t j = 0; j < count; ++j) {
-            score_candidate(block_indices[begin + j], p1[j], p2[j]);
-          }
+          // One marginal posterior draw per objective; the acquisition
+          // value is the deterministic HVI of the sampled point.
+          const pareto::Point2 sample{
+              belief.mu1 + belief.sigma1 * thompson_draws[2 * c],
+              belief.mu2 + belief.sigma2 * thompson_draws[2 * c + 1]};
+          values[c] = compiled.hvi(sample);
         } else {
-          // Whole-block EHVI: one batched pdf/cdf pass scores the block.
-          // ehvi_block is elementwise — identical bits to per-candidate
-          // compiled.ehvi() calls, so serial and blocked paths agree.
-          std::vector<GaussianPair> blk_beliefs(count);
-          std::vector<double> blk_values(count);
-          for (std::size_t j = 0; j < count; ++j) {
-            blk_beliefs[j] = {p1[j].mean, p1[j].stddev(), p2[j].mean,
-                              p2[j].stddev()};
-          }
-          compiled.ehvi_block(blk_beliefs.data(), count, blk_values.data());
-          for (std::size_t j = 0; j < count; ++j) {
-            const std::size_t c = block_indices[begin + j];
-            beliefs[c] = blk_beliefs[j];
-            values[c] = blk_values[j];
-            uncertainties[c] = p1[j].variance + p2[j].variance;
-          }
+          live_index[begin + live] = c;
+          live_beliefs[begin + live] = belief;
+          ++live;
         }
-      });
-    }
+      }
+      if (!thompson) {
+        // Whole-block EHVI: one batched pdf/cdf pass.  ehvi_block is
+        // elementwise — the bits of per-candidate compiled.ehvi() calls.
+        compiled.ehvi_block(live_beliefs.data() + begin, live,
+                            live_values.data() + begin);
+        for (std::size_t k = begin; k < begin + live; ++k) {
+          values[live_index[k]] = live_values[k];
+        }
+      }
+    });
     // Serial argmax in candidate order reproduces the serial loop exactly.
     double best_value = -1.0;
     double best_uncertainty = -1.0;

@@ -42,14 +42,6 @@ struct MboOptions {
   bool log_transform = true;
   /// Upper bound on one batch (the paper caps at ~10 to bound MBO latency).
   std::size_t max_batch_size = 10;
-  /// Escape hatch: run propose_batch on the reference algebra — full O(n^3)
-  /// GP refactorization per fantasy pick and per-candidate kernel
-  /// evaluations — instead of the default incremental path (O(n^2) rank-1
-  /// Cholesky updates, cached cross-covariances, blocked candidate solves).
-  /// Both paths propose from the same posterior; the incremental one only
-  /// reorders floating-point work.  Used by the differential tests and the
-  /// fig. 13 overhead benchmark baseline.
-  bool full_refit = false;
   /// Escape hatch: score candidates with libm-exact EHVI (bit-identical to
   /// the reference ehvi_2d) instead of the default batched polynomial
   /// kernel (CompiledFront kFast, ~3e-9 relative error).  Differential
@@ -93,10 +85,11 @@ class MboEngine {
   /// unobserved candidates left).  Requires >= 3 observations.
   [[nodiscard]] std::vector<std::size_t> propose_batch(std::size_t batch_size);
 
-  /// Score candidates on `pool` (non-owning; nullptr = serial, the
+  /// Score candidate blocks on `pool` (non-owning; nullptr = serial, the
   /// default).  Per-candidate acquisition values are independent — RNG
-  /// draws (Thompson) are pre-split per candidate and the greedy argmax
-  /// stays serial — so batches are bit-identical for any pool size.
+  /// draws (Thompson) are pre-split per candidate, the block layout is
+  /// fixed and the greedy argmax stays serial — so batches are
+  /// bit-identical for any pool size.
   void set_parallel_pool(runtime::ThreadPool* pool) { pool_ = pool; }
 
   /// Pareto front of the raw observations.

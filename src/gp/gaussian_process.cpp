@@ -1,5 +1,6 @@
 #include "gp/gaussian_process.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -30,7 +31,7 @@ void GaussianProcess::condition(std::vector<linalg::Vector> inputs,
 void GaussianProcess::add_observation(linalg::Vector input, double target) {
   BOFL_REQUIRE(input.size() == kernel_.input_dimension(),
                "input dimension mismatch");
-  if (full_refit_ || !chol_.has_value() || inputs_.empty()) {
+  if (!chol_.has_value() || inputs_.empty()) {
     inputs_.push_back(std::move(input));
     targets_.push_back(target);
     refit();
@@ -53,6 +54,7 @@ void GaussianProcess::add_observation(linalg::Vector input, double target) {
 }
 
 void GaussianProcess::refit() {
+  ++factorizations_;
   if (inputs_.empty()) {
     chol_.reset();
     alpha_.clear();
@@ -83,46 +85,22 @@ Prediction GaussianProcess::predict_from_cross(
   if (inputs_.empty()) {
     return {0.0, kernel_.signal_variance()};
   }
-  BOFL_REQUIRE(k_star.size() == inputs_.size(),
-               "cross-covariance length mismatch");
+  const std::size_t n = inputs_.size();
+  BOFL_REQUIRE(k_star.size() == n, "cross-covariance length mismatch");
   const double mean = linalg::dot(k_star, alpha_);
-  // variance = k(x,x) - k*^T (K + s^2 I)^{-1} k* computed via v = L^{-1} k*.
-  const linalg::Vector v = linalg::solve_lower(*chol_, k_star);
-  const double variance = kernel_.signal_variance() - linalg::dot(v, v);
-  return {mean, std::max(variance, 0.0)};
+  // variance = k(x,x) - |v|^2 with v = L^{-1} k*, through the row solve and
+  // sum-of-squares kernels CandidatePanel runs on its columns, so a panel
+  // column and this one-column case agree bit for bit.
+  linalg::Vector v = k_star;
+  linalg::simd::solve_lower_rows_inplace(chol_->row(0), n, 0, v.data(), 1);
+  double explained = 0.0;
+  linalg::simd::sumsq_rows_accumulate(v.data(), n, 1, &explained);
+  return {mean, std::max(kernel_.signal_variance() - explained, 0.0)};
 }
 
-void GaussianProcess::predict_block(
-    const std::vector<linalg::Vector>& k_star_rows, const std::size_t* indices,
-    std::size_t count, Prediction* out) const {
-  if (count == 0) {
-    return;
-  }
-  if (inputs_.empty()) {
-    for (std::size_t j = 0; j < count; ++j) {
-      out[j] = {0.0, kernel_.signal_variance()};
-    }
-    return;
-  }
-  const std::size_t n = inputs_.size();
-  // Gather the block's cross-covariance rows as the columns of one n x count
-  // right-hand-side matrix, then run a single blocked forward substitution.
-  linalg::Matrix b(n, count);
-  for (std::size_t j = 0; j < count; ++j) {
-    const linalg::Vector& row = k_star_rows[indices[j]];
-    BOFL_REQUIRE(row.size() == n, "cross-covariance length mismatch");
-    for (std::size_t i = 0; i < n; ++i) {
-      b(i, j) = row[i];
-    }
-  }
-  const linalg::Matrix v = linalg::solve_lower_multi(*chol_, b);
-  std::vector<double> explained(count, 0.0);
-  linalg::simd::sumsq_rows_accumulate(v.row(0), n, count, explained.data());
-  const double sv = kernel_.signal_variance();
-  for (std::size_t j = 0; j < count; ++j) {
-    const double mean = linalg::dot(k_star_rows[indices[j]], alpha_);
-    out[j] = {mean, std::max(sv - explained[j], 0.0)};
-  }
+const linalg::Matrix& GaussianProcess::factor() const {
+  BOFL_REQUIRE(chol_.has_value(), "the GP has no observations");
+  return *chol_;
 }
 
 double GaussianProcess::log_marginal_likelihood() const {

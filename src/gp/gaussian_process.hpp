@@ -5,10 +5,12 @@
 // set is O(n^3) in the number of observations; appending one observation
 // extends the existing factor in O(n^2) via a rank-1 Cholesky border
 // (linalg::cholesky_append_row), which is what the Kriging-believer batch
-// strategy hits twice per fantasy pick.  `set_full_refit(true)` restores
-// the from-scratch refactorization as a reference/escape hatch.
+// strategy hits twice per fantasy pick.  Scoring many fixed points against
+// a growing GP goes through gp::CandidatePanel (candidate_panel.hpp), which
+// keeps their whitened cross-covariances across appends.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -38,16 +40,11 @@ class GaussianProcess {
                  std::vector<double> targets);
 
   /// Append one observation and re-condition (used for fantasy updates).
-  /// Default: extends the Cholesky factor in O(n^2), falling back to a full
-  /// refit when the bordered matrix is numerically indefinite (duplicate
-  /// points with no noise).  With set_full_refit(true): always O(n^3).
+  /// Extends the Cholesky factor in O(n^2) — its existing rows stay
+  /// bit-for-bit — falling back to a full re-jittered refit when the
+  /// bordered matrix is numerically indefinite (duplicate points with no
+  /// noise); factorizations() counts the fallback.
   void add_observation(linalg::Vector input, double target);
-
-  /// Force from-scratch refactorization on every add_observation — the
-  /// reference path the incremental algebra is differentially tested
-  /// against (bo::MboOptions::full_refit forwards here).
-  void set_full_refit(bool on) { full_refit_ = on; }
-  [[nodiscard]] bool full_refit() const { return full_refit_; }
 
   /// Gram builds during conditioning fan out over `pool` (non-owning;
   /// nullptr = serial, the default).  Results are pool-size-independent.
@@ -58,29 +55,31 @@ class GaussianProcess {
   [[nodiscard]] double noise_variance() const { return noise_variance_; }
   /// Diagonal jitter the current factor absorbed (0 for healthy matrices).
   [[nodiscard]] double jitter() const { return jitter_; }
+  /// From-scratch factorizations so far: condition(), the first
+  /// observation, and every append that fell back to a full refit.  While
+  /// it is unchanged, appends only bordered the factor, so its earlier rows
+  /// are unchanged.
+  [[nodiscard]] std::uint64_t factorizations() const {
+    return factorizations_;
+  }
+  /// The lower-triangular factor L of K + noise (+ jitter) I, and
+  /// alpha = (K + noise I)^{-1} targets.  Require observations.
+  [[nodiscard]] const linalg::Matrix& factor() const;
+  [[nodiscard]] const linalg::Vector& alpha() const { return alpha_; }
   [[nodiscard]] const std::vector<linalg::Vector>& inputs() const {
     return inputs_;
   }
   [[nodiscard]] const std::vector<double>& targets() const { return targets_; }
 
   /// Posterior predictive at `x`.  With no observations this is the prior:
-  /// mean 0, variance = signal variance.
+  /// mean 0, variance = signal variance.  Bit-identical to a
+  /// gp::CandidatePanel column holding `x`.
   [[nodiscard]] Prediction predict(const linalg::Vector& x) const;
 
   /// Posterior predictive at a point whose cross-covariance vector against
   /// inputs() the caller already holds (k_star[i] = kernel()(x, inputs()[i])).
-  /// Lets callers that cache cross-covariances (bo::MboEngine) skip the
-  /// kernel evaluations predict() would redo.
   [[nodiscard]] Prediction predict_from_cross(
       const linalg::Vector& k_star) const;
-
-  /// Batched posterior for `count` points: k_star_rows[indices[j]] is the
-  /// cross-covariance row of point j, out[j] its prediction.  All variances
-  /// come from one blocked multi-RHS triangular solve instead of `count`
-  /// independent solves; results match predict_from_cross per point.
-  void predict_block(const std::vector<linalg::Vector>& k_star_rows,
-                     const std::size_t* indices, std::size_t count,
-                     Prediction* out) const;
 
   /// Log marginal likelihood of the conditioned data under the current
   /// hyperparameters.  Requires at least one observation.
@@ -91,7 +90,6 @@ class GaussianProcess {
 
   Kernel kernel_;
   double noise_variance_;
-  bool full_refit_ = false;
   runtime::ThreadPool* pool_ = nullptr;
   std::vector<linalg::Vector> inputs_;
   std::vector<double> targets_;
@@ -100,6 +98,7 @@ class GaussianProcess {
   std::optional<linalg::Matrix> chol_;
   linalg::Vector alpha_;
   double jitter_ = 0.0;
+  std::uint64_t factorizations_ = 0;
 };
 
 }  // namespace bofl::gp

@@ -61,10 +61,14 @@ double Kernel::operator()(const linalg::Vector& a,
   // gram/cross batch, at every dispatch level.
   double out = 0.0;
   const double* pt = b.data();
-  linalg::simd::corr_row(to_corr(family_), a.data(), &pt, 1,
-                         lengthscales_.data(), lengthscales_.size(),
-                         signal_variance_, &out);
+  row(a.data(), &pt, 1, &out);
   return out;
+}
+
+void Kernel::row(const double* x, const double* const* pts, std::size_t count,
+                 double* out) const {
+  linalg::simd::corr_row(to_corr(family_), x, pts, count, lengthscales_.data(),
+                         lengthscales_.size(), signal_variance_, out);
 }
 
 linalg::Matrix Kernel::gram(const std::vector<linalg::Vector>& points,
@@ -82,9 +86,7 @@ linalg::Matrix Kernel::gram(const std::vector<linalg::Vector>& points,
   auto fill_row = [&](std::size_t i) {
     k(i, i) = signal_variance_;
     if (i + 1 < n) {
-      linalg::simd::corr_row(to_corr(family_), ptrs[i], ptrs.data() + i + 1,
-                             n - i - 1, lengthscales_.data(), dim,
-                             signal_variance_, k.row(i) + i + 1);
+      row(ptrs[i], ptrs.data() + i + 1, n - i - 1, k.row(i) + i + 1);
     }
     for (std::size_t j = i + 1; j < n; ++j) {
       k(j, i) = k(i, j);
@@ -113,9 +115,7 @@ linalg::Vector Kernel::cross(const linalg::Vector& x,
     ptrs[i] = points[i].data();
   }
   linalg::Vector k(points.size());
-  linalg::simd::corr_row(to_corr(family_), x.data(), ptrs.data(), ptrs.size(),
-                         lengthscales_.data(), dim, signal_variance_,
-                         k.data());
+  row(x.data(), ptrs.data(), ptrs.size(), k.data());
   return k;
 }
 

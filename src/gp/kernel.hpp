@@ -51,6 +51,14 @@ class Kernel {
   [[nodiscard]] double operator()(const linalg::Vector& a,
                                   const linalg::Vector& b) const;
 
+  /// Covariances out[j] = k(x, pts[j]) for j < count, all points of
+  /// input_dimension() coordinates, in one dispatched batch.  out[j]
+  /// depends only on x and pts[j] (never on j's position in the batch), and
+  /// k(a, b) == k(b, a) bit for bit, so any row reproduces the pairwise
+  /// operator() bits.
+  void row(const double* x, const double* const* pts, std::size_t count,
+           double* out) const;
+
   /// Full covariance matrix of a point set (symmetric).  Large builds
   /// (n >= 48) fan their rows out over `pool` when one is given; every
   /// entry is written to its own slot, so the result is identical for any

@@ -124,7 +124,7 @@ Matrix solve_lower_multi(const Matrix& l, const Matrix& b) {
   // Forward substitution vectorized across the m right-hand sides; the
   // dispatched kernel (linalg/simd/kernels.hpp) keeps the unit-stride axpy
   // structure, with the AVX2 path register-blocking four eliminated rows.
-  simd::solve_lower_multi_inplace(l.row(0), n, x.row(0), m);
+  simd::solve_lower_rows_inplace(l.row(0), n, 0, x.row(0), m);
   return x;
 }
 

@@ -28,12 +28,12 @@ void gemm(const double* a, std::size_t m, std::size_t k, const double* b,
   }
 }
 
-void solve_lower_multi_inplace(const double* l, std::size_t n, double* x,
-                               std::size_t m) {
+void solve_lower_rows_inplace(const double* l, std::size_t n,
+                              std::size_t first, double* x, std::size_t m) {
   if (use_avx2()) {
-    solve_lower_multi_inplace_avx2(l, n, x, m);
+    solve_lower_rows_inplace_avx2(l, n, first, x, m);
   } else {
-    solve_lower_multi_inplace_scalar(l, n, x, m);
+    solve_lower_rows_inplace_scalar(l, n, first, x, m);
   }
 }
 

@@ -14,7 +14,7 @@
 //     mul/add/sub/div/sqrt/min-max-emulation — never FMA, because the
 //     scalar reference is compiled without contraction — and every output
 //     element depends only on its own inputs.
-//   * Reduction kernels (dot_*, gemm, solve_lower_multi_inplace,
+//   * Reduction kernels (dot_*, gemm, solve_lower_rows_inplace,
 //     sumsq_rows_accumulate, corr_row) fuse with FMA on the AVX2 path and
 //     are tolerance-pinned against scalar; their lane-accumulation order is
 //     fixed, so a given level is bit-deterministic across runs, thread
@@ -64,19 +64,28 @@ void gemm_avx2(const double* a, std::size_t m, std::size_t k, const double* b,
                std::size_t n, double* c);
 
 // ---------------------------------------------------------------------------
-// Blocked forward substitution: solve L X = B in place for the m columns of
-// x (n x m row-major), with L lower-triangular n x n row-major.
+// Blocked forward substitution over a row range: solve L X = B in place for
+// rows [first, n) of the m columns of x (n x m row-major), with L
+// lower-triangular n x n row-major and rows [0, first) of x already solved.
+// Row i reads only rows <= i of L and x, and its loop body depends only on
+// i and m, so solving [0, n) and then [n, n + k) against a bordered factor
+// gives the bits of one solve of [0, n + k) — at each dispatch level.
+// first = 0 is the whole blocked multi-RHS solve (linalg::solve_lower_multi).
 
-void solve_lower_multi_inplace(const double* l, std::size_t n, double* x,
-                               std::size_t m);
-void solve_lower_multi_inplace_scalar(const double* l, std::size_t n,
-                                      double* x, std::size_t m);
-void solve_lower_multi_inplace_avx2(const double* l, std::size_t n, double* x,
-                                    std::size_t m);
+void solve_lower_rows_inplace(const double* l, std::size_t n,
+                              std::size_t first, double* x, std::size_t m);
+void solve_lower_rows_inplace_scalar(const double* l, std::size_t n,
+                                     std::size_t first, double* x,
+                                     std::size_t m);
+void solve_lower_rows_inplace_avx2(const double* l, std::size_t n,
+                                   std::size_t first, double* x,
+                                   std::size_t m);
 
 // ---------------------------------------------------------------------------
 // acc[j] += sum_i v(i, j)^2 over the `rows` x `m` row-major matrix v — the
-// explained-variance accumulation of GaussianProcess::predict_block.
+// explained-variance accumulation of gp::CandidatePanel.  Rows are applied
+// in ascending order, one rounding each, so accumulating rows [0, a) and
+// then [a, b) gives the bits of one call over [0, b).
 
 void sumsq_rows_accumulate(const double* v, std::size_t rows, std::size_t m,
                            double* acc);

@@ -159,9 +159,10 @@ void gemm_avx2(const double* a, std::size_t m, std::size_t k, const double* b,
   }
 }
 
-void solve_lower_multi_inplace_avx2(const double* l, std::size_t n, double* x,
-                                    std::size_t m) {
-  for (std::size_t i = 0; i < n; ++i) {
+void solve_lower_rows_inplace_avx2(const double* l, std::size_t n,
+                                   std::size_t first, double* x,
+                                   std::size_t m) {
+  for (std::size_t i = first; i < n; ++i) {
     const double* li = l + i * n;
     double* xi = x + i * m;
     std::size_t j = 0;
@@ -549,8 +550,8 @@ void gemm_avx2(const double*, std::size_t, std::size_t, const double*,
                std::size_t, double*) {
   unreachable_stub();
 }
-void solve_lower_multi_inplace_avx2(const double*, std::size_t, double*,
-                                    std::size_t) {
+void solve_lower_rows_inplace_avx2(const double*, std::size_t, std::size_t,
+                                   double*, std::size_t) {
   unreachable_stub();
 }
 void sumsq_rows_accumulate_avx2(const double*, std::size_t, std::size_t,

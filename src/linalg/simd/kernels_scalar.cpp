@@ -87,9 +87,10 @@ void gemm_scalar(const double* a, std::size_t m, std::size_t k,
 // Forward substitution vectorized across the m right-hand sides: the inner
 // loop is a unit-stride axpy over row i, so one pass through L serves the
 // whole block instead of m independent strided solves.
-void solve_lower_multi_inplace_scalar(const double* l, std::size_t n,
-                                      double* x, std::size_t m) {
-  for (std::size_t i = 0; i < n; ++i) {
+void solve_lower_rows_inplace_scalar(const double* l, std::size_t n,
+                                     std::size_t first, double* x,
+                                     std::size_t m) {
+  for (std::size_t i = first; i < n; ++i) {
     const double* li = l + i * n;
     double* xi = x + i * m;
     for (std::size_t j = 0; j < i; ++j) {

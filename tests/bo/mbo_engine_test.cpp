@@ -5,6 +5,7 @@
 #include <cmath>
 #include <set>
 
+#include "bo/reference/mbo_reference.hpp"
 #include "common/rng.hpp"
 #include "pareto/hypervolume.hpp"
 
@@ -290,30 +291,29 @@ TEST(MboEngine, ParallelScoringMatchesSerialBatches) {
   }
 }
 
-TEST(MboEngine, FullRefitEscapeHatchProposesEquivalentBatches) {
-  // The incremental algebra (rank-1 Cholesky updates, cached
-  // cross-covariances, blocked solves) only reorders floating-point work:
-  // against the reference full-refit path it must pick the same
-  // candidates.
+TEST(MboEngine, FullRefitReferenceProposesEquivalentBatches) {
+  // The incremental algebra (rank-1 Cholesky borders, whitened candidate
+  // panels) only reorders floating-point work: against the reference that
+  // refits the GPs from scratch at every fantasy pick it must pick the
+  // same candidates.
   SyntheticProblem problem;
   for (const std::uint64_t seed : {11ull, 29ull}) {
     SCOPED_TRACE(seed);
-    MboOptions incremental_options;
-    incremental_options.hyperopt.num_restarts = 2;
-    incremental_options.hyperopt.max_iterations_per_start = 80;
-    MboOptions reference_options = incremental_options;
-    reference_options.full_refit = true;
-    MboEngine incremental(problem.candidates, incremental_options, seed);
-    MboEngine reference(problem.candidates, reference_options, seed);
+    MboOptions options;
+    options.hyperopt.num_restarts = 2;
+    options.hyperopt.max_iterations_per_start = 80;
+    MboEngine incremental(problem.candidates, options, seed);
+    reference::ReferenceMboEngine full_refit(
+        problem.candidates, options, seed, reference::Scoring::kFullRefit);
     Rng rng(seed * 31);
     for (std::size_t i = 0; i < 8; ++i) {
       const std::size_t c = rng.uniform_index(problem.candidates.size());
       incremental.add_observation(
           {c, problem.values[c].f1, problem.values[c].f2});
-      reference.add_observation(
+      full_refit.add_observation(
           {c, problem.values[c].f1, problem.values[c].f2});
     }
-    EXPECT_EQ(incremental.propose_batch(5), reference.propose_batch(5));
+    EXPECT_EQ(incremental.propose_batch(5), full_refit.propose_batch(5));
   }
 }
 
@@ -321,14 +321,13 @@ TEST(MboEngine, WarmStartedRoundsStayDeterministicAcrossPools) {
   // Rounds after the first use warm-started hyperparameter fits (see
   // MboOptions::hyperopt_refresh_period).  A full observe/propose cycle
   // repeated over several rounds must still pick identical batches for
-  // every pool size, and the full-refit escape hatch must keep agreeing
-  // with the incremental algebra on those warm rounds too.
+  // every pool size, and the full-refit reference must keep agreeing with
+  // the incremental algebra on those warm rounds too.
   SyntheticProblem problem;
   MboOptions options;
   options.hyperopt.num_restarts = 2;
   options.hyperopt.max_iterations_per_start = 80;
-  auto run_rounds = [&](const MboOptions& opts, runtime::ThreadPool* pool) {
-    MboEngine engine(problem.candidates, opts, 17);
+  auto run_rounds = [&](auto engine, runtime::ThreadPool* pool) {
     if (pool != nullptr) {
       engine.set_parallel_pool(pool);
     }
@@ -348,15 +347,17 @@ TEST(MboEngine, WarmStartedRoundsStayDeterministicAcrossPools) {
     }
     return trace;
   };
-  const std::vector<std::size_t> serial = run_rounds(options, nullptr);
+  const MboEngine engine(problem.candidates, options, 17);
+  const std::vector<std::size_t> serial = run_rounds(engine, nullptr);
   for (const std::size_t threads : {2u, 5u}) {
     SCOPED_TRACE(threads);
     runtime::ThreadPool pool(threads);
-    EXPECT_EQ(serial, run_rounds(options, &pool));
+    EXPECT_EQ(serial, run_rounds(engine, &pool));
   }
-  MboOptions reference = options;
-  reference.full_refit = true;
-  EXPECT_EQ(serial, run_rounds(reference, nullptr));
+  EXPECT_EQ(serial, run_rounds(reference::ReferenceMboEngine(
+                                   problem.candidates, options, 17,
+                                   reference::Scoring::kFullRefit),
+                               nullptr));
 }
 
 TEST(MboEngine, RefreshPeriodZeroAlwaysRunsFullSearch) {

@@ -77,9 +77,9 @@ TEST(GaussianProcess, AddObservationMatchesBatchConditioning) {
 }
 
 // Differential test for the incremental algebra: a GP extended one
-// observation at a time (rank-1 Cholesky borders) must agree with its
-// full-refit twin to tight tolerance over randomized data in several
-// dimensions — means, variances, and the log marginal likelihood.
+// observation at a time (rank-1 Cholesky borders) must agree with a fresh
+// condition() on all the data to tight tolerance over randomized data in
+// several dimensions — means, variances, and the log marginal likelihood.
 TEST(GaussianProcess, IncrementalMatchesFullRefitOnRandomData) {
   for (const std::size_t dim : {1u, 2u, 3u}) {
     SCOPED_TRACE(dim);
@@ -87,8 +87,8 @@ TEST(GaussianProcess, IncrementalMatchesFullRefitOnRandomData) {
     Kernel kernel(KernelFamily::kMatern52, 1.3,
                   std::vector<double>(dim, 0.4));
     GaussianProcess incremental(kernel, 1e-4);
-    GaussianProcess reference(kernel, 1e-4);
-    reference.set_full_refit(true);
+    std::vector<linalg::Vector> xs;
+    std::vector<double> ys;
     for (int i = 0; i < 25; ++i) {
       linalg::Vector x(dim);
       for (double& v : x) {
@@ -96,9 +96,14 @@ TEST(GaussianProcess, IncrementalMatchesFullRefitOnRandomData) {
       }
       const double y = rng.normal();
       incremental.add_observation(x, y);
-      reference.add_observation(x, y);
+      xs.push_back(std::move(x));
+      ys.push_back(y);
     }
-    EXPECT_FALSE(incremental.full_refit());
+    GaussianProcess reference(kernel, 1e-4);
+    reference.condition(xs, ys);
+    // One factorization (the first observation's); every later append
+    // bordered it.
+    EXPECT_EQ(incremental.factorizations(), 1u);
     EXPECT_NEAR(incremental.log_marginal_likelihood(),
                 reference.log_marginal_likelihood(), 1e-7);
     for (int q = 0; q < 10; ++q) {
@@ -122,8 +127,10 @@ TEST(GaussianProcess, IncrementalFallsBackOnDuplicateNoiselessPoint) {
   gp.add_observation({0.4}, 1.0);
   gp.add_observation({0.9}, -0.5);
   EXPECT_EQ(gp.jitter(), 0.0);
+  const std::uint64_t factorizations = gp.factorizations();
   gp.add_observation({0.4}, 1.0);  // exact duplicate, zero noise
   EXPECT_GT(gp.jitter(), 0.0);     // the fallback refit had to jitter
+  EXPECT_EQ(gp.factorizations(), factorizations + 1);
   const Prediction p = gp.predict({0.4});
   EXPECT_TRUE(std::isfinite(p.mean));
   EXPECT_TRUE(std::isfinite(p.variance));
@@ -144,42 +151,6 @@ TEST(GaussianProcess, PredictFromCrossMatchesPredict) {
     EXPECT_DOUBLE_EQ(via_cross.mean, direct.mean);
     EXPECT_DOUBLE_EQ(via_cross.variance, direct.variance);
   }
-}
-
-// predict_block must agree with per-point prediction for every point of a
-// block (one multi-RHS solve vs. independent solves).
-TEST(GaussianProcess, PredictBlockMatchesPerPointPrediction) {
-  Rng rng(67);
-  GaussianProcess gp(default_kernel(), 1e-4);
-  for (int i = 0; i < 15; ++i) {
-    gp.add_observation({rng.uniform()}, rng.normal());
-  }
-  const std::size_t m = 9;
-  std::vector<linalg::Vector> rows(m);
-  std::vector<linalg::Vector> queries(m);
-  std::vector<std::size_t> indices(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    queries[j] = {rng.uniform()};
-    rows[j] = gp.kernel().cross(queries[j], gp.inputs());
-    indices[j] = j;
-  }
-  std::vector<Prediction> block(m);
-  gp.predict_block(rows, indices.data(), m, block.data());
-  for (std::size_t j = 0; j < m; ++j) {
-    const Prediction ref = gp.predict(queries[j]);
-    EXPECT_NEAR(block[j].mean, ref.mean, 1e-12);
-    EXPECT_NEAR(block[j].variance, ref.variance, 1e-12);
-  }
-}
-
-TEST(GaussianProcess, PredictBlockOnPriorReturnsPrior) {
-  GaussianProcess gp(default_kernel(), 1e-4);
-  std::vector<linalg::Vector> rows{{}};
-  const std::size_t index = 0;
-  Prediction p;
-  gp.predict_block(rows, &index, 1, &p);
-  EXPECT_DOUBLE_EQ(p.mean, 0.0);
-  EXPECT_DOUBLE_EQ(p.variance, 1.0);
 }
 
 TEST(GaussianProcess, LogMarginalLikelihoodPrefersTruth) {

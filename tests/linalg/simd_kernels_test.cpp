@@ -191,8 +191,8 @@ TEST(SimdSolveLowerMulti, Avx2MatchesScalarAcrossShapes) {
       const auto rhs = random_vector(rng, n * m);
       std::vector<double> x_scalar = rhs;
       std::vector<double> x_avx2 = rhs;
-      solve_lower_multi_inplace_scalar(l.data(), n, x_scalar.data(), m);
-      solve_lower_multi_inplace_avx2(l.data(), n, x_avx2.data(), m);
+      solve_lower_rows_inplace_scalar(l.data(), n, 0, x_scalar.data(), m);
+      solve_lower_rows_inplace_avx2(l.data(), n, 0, x_avx2.data(), m);
       for (std::size_t i = 0; i < n * m; ++i) {
         SCOPED_TRACE(::testing::Message()
                      << "n=" << n << " m=" << m << " i=" << i);
@@ -218,10 +218,97 @@ TEST(SimdSolveLowerMulti, NanRhsPropagatesDownTheColumn) {
   rhs[0 * m + 2] = kNan;  // column 2 poisoned from row 0
   std::vector<double> x_scalar = rhs;
   std::vector<double> x_avx2 = rhs;
-  solve_lower_multi_inplace_scalar(l.data(), n, x_scalar.data(), m);
-  solve_lower_multi_inplace_avx2(l.data(), n, x_avx2.data(), m);
+  solve_lower_rows_inplace_scalar(l.data(), n, 0, x_scalar.data(), m);
+  solve_lower_rows_inplace_avx2(l.data(), n, 0, x_avx2.data(), m);
   for (std::size_t i = 0; i < n * m; ++i) {
     EXPECT_EQ(std::isnan(x_avx2[i]), std::isnan(x_scalar[i])) << "i=" << i;
+  }
+}
+
+// Row-range solves: solving rows [0, n) against the leading n x n factor and
+// then rows [n, n + k) against the bordered (n + k) x (n + k) factor must
+// give the bits of one solve of [0, n + k) — at each level, since that is
+// how CandidatePanel extends V by one row per Kriging-believer pick.
+using SolveRowsFn = void (*)(const double*, std::size_t, std::size_t, double*,
+                             std::size_t);
+
+void expect_split_solve_bit_identical(SolveRowsFn solve, Rng& rng) {
+  const std::size_t ns[] = {1, 3, 4, 5, 8, 31};
+  const std::size_t ks[] = {1, 2, 5};
+  const std::size_t ms[] = {1, 3, 4, 7, 128};
+  for (const std::size_t n : ns) {
+    for (const std::size_t k : ks) {
+      for (const std::size_t m : ms) {
+        const std::size_t total = n + k;
+        std::vector<double> l(total * total, 0.0);
+        for (std::size_t i = 0; i < total; ++i) {
+          for (std::size_t j = 0; j < i; ++j) {
+            l[i * total + j] = rng.uniform(-0.4, 0.4);
+          }
+          l[i * total + i] = rng.uniform(1.0, 2.0);
+        }
+        std::vector<double> leading(n * n);
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            leading[i * n + j] = l[i * total + j];
+          }
+        }
+        const auto rhs = random_vector(rng, total * m);
+        std::vector<double> whole = rhs;
+        solve(l.data(), total, 0, whole.data(), m);
+        std::vector<double> split = rhs;
+        solve(leading.data(), n, 0, split.data(), m);
+        solve(l.data(), total, n, split.data(), m);
+        for (std::size_t i = 0; i < total * m; ++i) {
+          ASSERT_TRUE(bits_equal(split[i], whole[i]))
+              << "n=" << n << " k=" << k << " m=" << m << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdSolveLowerRows, SplitSolveBitIdenticalToOneSolveScalar) {
+  Rng rng(8);
+  expect_split_solve_bit_identical(solve_lower_rows_inplace_scalar, rng);
+}
+
+TEST(SimdSolveLowerRows, SplitSolveBitIdenticalToOneSolveAvx2) {
+  SKIP_WITHOUT_AVX2();
+  Rng rng(9);
+  expect_split_solve_bit_identical(solve_lower_rows_inplace_avx2, rng);
+}
+
+TEST(SimdSolveLowerRows, Avx2MatchesScalarFromAnyFirstRow) {
+  SKIP_WITHOUT_AVX2();
+  Rng rng(10);
+  for (const std::size_t n : {2u, 5u, 9u, 33u}) {
+    for (const std::size_t m : {1u, 3u, 4u, 17u}) {
+      std::vector<double> l(n * n, 0.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < i; ++j) {
+          l[i * n + j] = rng.uniform(-0.4, 0.4);
+        }
+        l[i * n + i] = rng.uniform(1.0, 2.0);
+      }
+      const std::size_t first = n / 2;
+      // Rows [0, first) count as already solved; both levels continue
+      // from the same values.
+      const auto rhs = random_vector(rng, n * m);
+      std::vector<double> x_scalar = rhs;
+      std::vector<double> x_avx2 = rhs;
+      solve_lower_rows_inplace_scalar(l.data(), n, first, x_scalar.data(), m);
+      solve_lower_rows_inplace_avx2(l.data(), n, first, x_avx2.data(), m);
+      for (std::size_t i = 0; i < n * m; ++i) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << n << " m=" << m << " i=" << i);
+        if (i < first * m) {
+          EXPECT_TRUE(bits_equal(x_avx2[i], rhs[i]));  // untouched
+        } else {
+          expect_close(x_avx2[i], x_scalar[i], static_cast<double>(n));
+        }
+      }
+    }
   }
 }
 
