@@ -14,11 +14,12 @@
 //   3. Cluster control-plane sweep: clusters x threads wall-time cells on a
 //      re-exploration workload (every cluster task-switches mid-run, so the
 //      per-round GP/EHVI/ILP control plane is the dominant cost), with the
-//      control-plane ms split out from the data-plane ms.  Each parallel
-//      cell's trace hash must match the serial-control-plane reference, and
-//      the serial reference is compared against the committed baseline under
-//      bench/baselines/ (target: >= 3x control-plane speedup at 8 threads on
-//      the 16-cluster workload).
+//      control-plane ms split out from the data-plane ms.  Each cell's trace
+//      hash must match the threads=1 cell's, and every cell is compared
+//      against the committed baseline's serial rows under bench/baselines/.
+//
+// Default --baseline paths resolve against the source tree, so the bench
+// finds its baseline from any working directory.
 //
 //   bench_fleet_scaling [--threads N] [--rounds R] [--clients-list 16,64]
 //                       [--ratio 8.0] [--fleet-clients-list 1000,...]
@@ -104,8 +105,10 @@ fleet::FleetConfig fleet_config(std::size_t clients, std::int64_t rounds,
   return config;
 }
 
-/// Serial-control-plane ms/round for `clusters` from the committed baseline's
-/// cluster_sweep rows, or 0 when the baseline lacks that row.
+/// Control-plane ms/round for `clusters` from the committed baseline's
+/// `serial: true` cluster_sweep rows (recorded with clusters extended one
+/// after another, as every cell runs them), or 0 when the baseline lacks
+/// that row.
 double baseline_serial_cp_ms(const telemetry::JsonNode& metrics,
                              std::size_t clusters) {
   const telemetry::JsonNode* rows = metrics.find("cluster_sweep");
@@ -295,24 +298,23 @@ int main(int argc, char** argv) {
   // workload.  Every cell runs the task-switch scenario (all clusters forced
   // back into exploration at round 10) over a 4-device-class mix, so
   // per-round cost is dominated by the canonical controllers' GP/EHVI/ILP
-  // work — exactly what the parallel control plane fans out.  The serial
-  // reference (threads=1, --serial-control-plane semantics) anchors both the
-  // in-run speedup and the comparison against the committed baseline.
+  // work, whose inner loops fan out over the pool.  The threads=1 cell
+  // anchors the in-run speedup and the trace-hash check.
   const auto cluster_rounds = flags.get_int("cluster-rounds", 12);
   const std::size_t cluster_clients =
       static_cast<std::size_t>(flags.get_int("cluster-clients", 20'000));
   const std::vector<std::size_t> cluster_counts =
       parse_list(flags.get("cluster-list", ""), {4, 16});
-  const std::string baseline_path =
-      flags.get("baseline",
-                "bench/baselines/BENCH_fleet_control_plane_baseline.json");
+  const std::string baseline_path = flags.get(
+      "baseline", std::string(BOFL_SOURCE_DIR) +
+                      "/bench/baselines/"
+                      "BENCH_fleet_control_plane_baseline.json");
 
   bench::print_header(
       "Cluster control-plane sweep: clusters x threads (task-switch "
       "re-exploration workload)",
-      "control-plane ms is the per-round serial section (extension + "
-      "needed-depth + fault flush); every parallel cell must reproduce the "
-      "serial trace hash");
+      "control-plane ms is the per-round cluster trajectory extension; every "
+      "cell must reproduce the threads=1 trace hash");
   const std::optional<telemetry::JsonNode> baseline =
       load_baseline(baseline_path);
 
@@ -326,10 +328,9 @@ int main(int argc, char** argv) {
 
   telemetry::JsonValue sweep_rows = telemetry::JsonValue::array();
   for (const std::size_t nclusters : cluster_counts) {
-    const auto make_config = [&](std::size_t threads, bool serial_cp) {
+    const auto make_config = [&](std::size_t threads) {
       fleet::FleetConfig config = fleet_config(
           cluster_clients, cluster_rounds, ratio, 0, threads);
-      config.serial_control_plane = serial_cp;
       config.scenario = faults::make_fleet_scenario("task-switch", 7);
       for (std::size_t c = 0; c < nclusters; ++c) {
         config.clusters.push_back({sweep_devices[c % sweep_devices.size()],
@@ -345,51 +346,33 @@ int main(int argc, char** argv) {
 
     std::printf("\n%zu clusters, %zu clients, %lld rounds:\n", nclusters,
                 cluster_clients, static_cast<long long>(cluster_rounds));
-    std::printf("  %8s %8s %16s %14s %10s %12s\n", "threads", "mode",
-                "control [ms/rd]", "data [ms/rd]", "speedup", "vs baseline");
+    std::printf("  %8s %16s %14s %10s %12s\n", "threads", "control [ms/rd]",
+                "data [ms/rd]", "speedup", "vs baseline");
 
-    // Serial control-plane reference.
-    fleet::FleetEngine reference(make_config(1, true));
-    const fleet::FleetResult ref = reference.run();
     const double rounds_d = static_cast<double>(cluster_rounds);
-    const double serial_cp = ref.control_plane_ms / rounds_d;
-    const double serial_dp = ref.data_plane_ms / rounds_d;
-    std::printf("  %8d %8s %16.2f %14.2f %10s %11.2fx\n", 1, "serial",
-                serial_cp, serial_dp, "--",
-                base_cp_ms > 0.0 ? base_cp_ms / serial_cp : 0.0);
-    {
-      telemetry::JsonValue row = telemetry::JsonValue::object();
-      row.set("clusters", nclusters)
-          .set("threads", std::size_t{1})
-          .set("serial", true)
-          .set("control_plane_ms_per_round", serial_cp)
-          .set("data_plane_ms_per_round", serial_dp)
-          .set("deterministic", true);
-      if (base_cp_ms > 0.0) {
-        row.set("speedup_vs_baseline", base_cp_ms / serial_cp);
-      }
-      sweep_rows.push_back(std::move(row));
-    }
-
+    std::uint64_t reference_hash = 0;
+    double reference_cp = 0.0;
     for (const std::size_t threads : thread_counts) {
-      fleet::FleetEngine engine(make_config(threads, false));
+      fleet::FleetEngine engine(make_config(threads));
       const fleet::FleetResult result = engine.run();
-      const bool same = result.trace_hash == ref.trace_hash;
-      deterministic = deterministic && same;
       const double cp = result.control_plane_ms / rounds_d;
       const double dp = result.data_plane_ms / rounds_d;
-      const double speedup = cp > 0.0 ? serial_cp / cp : 0.0;
-      std::printf("  %8zu %8s %16.2f %14.2f %9.2fx %11.2fx%s\n", threads,
-                  "parallel", cp, dp, speedup,
-                  base_cp_ms > 0.0 ? base_cp_ms / cp : 0.0,
-                  same ? "" : "  [MISMATCH vs serial control plane]");
+      if (threads == 1) {
+        reference_hash = result.trace_hash;
+        reference_cp = cp;
+      }
+      const bool same = result.trace_hash == reference_hash;
+      deterministic = deterministic && same;
+      const double speedup = cp > 0.0 ? reference_cp / cp : 0.0;
+      std::printf("  %8zu %16.2f %14.2f %9.2fx %11.2fx%s\n", threads, cp, dp,
+                  speedup, base_cp_ms > 0.0 ? base_cp_ms / cp : 0.0,
+                  same ? "" : "  [MISMATCH vs threads=1]");
       telemetry::JsonValue row = telemetry::JsonValue::object();
       row.set("clusters", nclusters)
           .set("threads", threads)
-          .set("serial", false)
           .set("control_plane_ms_per_round", cp)
           .set("data_plane_ms_per_round", dp)
-          .set("speedup_vs_serial", speedup)
+          .set("speedup", speedup)
           .set("deterministic", same);
       if (base_cp_ms > 0.0) {
         row.set("speedup_vs_baseline", base_cp_ms / cp);

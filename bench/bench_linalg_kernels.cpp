@@ -136,7 +136,8 @@ int main(int argc, char** argv) {
   bench::configure_threads(argc, argv);
   const FlagParser flags(argc, argv);
   const std::string baseline_path = flags.get(
-      "baseline", "bench/baselines/BENCH_linalg_kernels_baseline.json");
+      "baseline", std::string(BOFL_SOURCE_DIR) +
+                      "/bench/baselines/BENCH_linalg_kernels_baseline.json");
   Rng rng(20220901);
   double sink = 0.0;
   // (section, n, baseline field, measured seconds) for the speedup report.

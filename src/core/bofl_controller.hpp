@@ -87,10 +87,9 @@ struct BoflOptions {
   double drift_guard_cap = 3.0;
   bo::MboOptions mbo{};
   MboCostModel mbo_cost{};
-  /// Branch-and-bound options forwarded to every exploitation solve.  The
-  /// ilp.disable_cache escape hatch makes an attached ScheduleCache (see
-  /// set_schedule_cache) pass every solve through uncached — used by the
-  /// cache-on/off bit-identity tests.
+  /// Branch-and-bound options forwarded to every exploitation solve (and
+  /// part of the key an attached ScheduleCache memoizes on; see
+  /// set_schedule_cache).
   ilp::IlpOptions ilp{};
 };
 

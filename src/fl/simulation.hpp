@@ -116,9 +116,9 @@ struct FlSimulationConfig {
   /// cohort of clients facing the same round problem (identical Pareto
   /// set, job count, deadline) runs branch-and-bound once instead of once
   /// per client.  Bit-identical on or off, for any `threads` value (the
-  /// cache keys on exact bits and the solver is deterministic); the
-  /// bofl_options.ilp.disable_cache escape hatch additionally bypasses an
-  /// attached cache per solve.  Ignored for non-BoFL controllers.
+  /// cache keys on exact bits and the solver is deterministic); off is the
+  /// uncached oracle the bit-identity tests compare against.  Ignored for
+  /// non-BoFL controllers.
   bool share_schedule_cache = true;
 
   /// Fleet knowledge plane (src/priors).  When set, every BoFL client asks

@@ -199,22 +199,12 @@ ClusterEngine::RoundEntry ClusterEngine::bofl_entry(
   entry.mbo_energy_uj = to_microjoules(trace.mbo_energy);
   entry.phase = trace.phase;
   if (channel_ != nullptr) {
-    // Extension may run on a pool worker; buffer the canonical device's
-    // fault episodes (in entry order) instead of emitting inline.  The
-    // engine flushes per cluster, in cluster-index order, after the
-    // extension fan-out — the same stream order serial extension produced.
-    for (faults::FaultEvent& event : channel_->drain_events(spec.index)) {
-      pending_fault_events_.push_back(std::move(event));
+    for (const faults::FaultEvent& event :
+         channel_->drain_events(spec.index)) {
+      faults::emit_fault_event(event);
     }
   }
   return entry;
-}
-
-void ClusterEngine::flush_fault_events() {
-  for (const faults::FaultEvent& event : pending_fault_events_) {
-    faults::emit_fault_event(event);
-  }
-  pending_fault_events_.clear();
 }
 
 ClusterEngine::RoundEntry ClusterEngine::reference_entry(
@@ -284,10 +274,6 @@ void ClusterEngine::apply_publish(priors::KnowledgeStore& store,
   if (batch.has_snapshot) {
     store.contribute(batch.key, batch.snapshot);
   }
-}
-
-void ClusterEngine::publish_to(priors::KnowledgeStore& store) const {
-  apply_publish(store, prepare_publish());
 }
 
 std::vector<std::size_t> ClusterEngine::pareto_flat_ids() const {

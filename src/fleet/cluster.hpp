@@ -8,10 +8,11 @@
 // client in the cluster as a replay of the canonical per-participation
 // trajectory, scaled by that client's pure-hash heterogeneity and jitter
 // factors.  A client that has participated k times sits at trajectory entry
-// k; entries are extended lazily (and serially, in cluster-id order) to the
-// deepest cursor any participant of the upcoming round needs, so extension
-// is a pure function of the round's participant set and never depends on
-// shard or thread counts.
+// k; entries are extended lazily, one cluster after another in cluster-id
+// order on the engine's round-loop thread, to the deepest cursor any
+// participant of the upcoming round needs, so extension is a pure function
+// of the round's participant set and never depends on shard or thread
+// counts.  The controller's own GP/EHVI inner loops are what use the pool.
 //
 // Entries are quantized to integer microseconds / microjoules.  That is
 // what makes the whole engine's cross-shard arithmetic associative: every
@@ -84,26 +85,14 @@ class ClusterEngine {
   /// drawn deadline by `deadline_factor` (diurnal pressure; 1 = neutral).
   /// The underlying uniform draw stays strictly sequential in the entry
   /// index, so lazy extension reproduces the eager schedule for every
-  /// factor sequence.  Distinct clusters may extend concurrently (each owns
-  /// its controller, RNG streams and fault channel; a shared ScheduleCache
-  /// is striped and bit-stable under races) — but the SAME cluster must
-  /// never be extended from two threads.  Fault episodes raised during
-  /// extension are buffered; the engine drains them in cluster-index
-  /// order via flush_fault_events() so the telemetry stream stays canonical
-  /// regardless of extension order.
+  /// factor sequence.  Fault episodes the canonical device raises are
+  /// emitted as each entry runs, so the engine's in-order extension keeps
+  /// the fault-event stream canonical.  One thread at a time.
   void extend_to(std::size_t entries, double deadline_factor = 1.0);
-
-  /// Emit the fault episodes buffered since the last flush, in the entry
-  /// order they occurred.  Serial only: the engine calls this in
-  /// cluster-index order after each round's extension fan-out, reproducing
-  /// the byte stream serial extension used to emit inline.
-  void flush_fault_events();
 
   /// Hand the canonical controller a pool for its GP/EHVI inner loops.
   /// Survives switch_workload (re-applied when the controller is rebuilt).
-  /// When control-plane extension itself runs on pool workers,
-  /// parallel_for_each detects re-entry and runs those inner loops inline —
-  /// same bits either way.
+  /// Results are bit-identical with or without a pool.
   void set_parallel_pool(runtime::ThreadPool* pool);
 
   /// Non-stationary workload switch: from this round on, the cluster
@@ -173,12 +162,10 @@ class ClusterEngine {
 
   /// Everything a cluster wants to tell the knowledge store at end of run:
   /// outcome feedback for the confidence score, plus a distilled snapshot
-  /// when the canonical controller reached exploitation.  Building the
-  /// snapshot (GP posterior slices, front distillation) is the expensive
-  /// part and is side-effect-free, so batches for distinct clusters are
-  /// prepared in parallel; the store itself is only touched when the engine
-  /// applies the batches serially in cluster-index order, keeping the
-  /// warm-store bytes layout-invariant.
+  /// when the canonical controller reached exploitation.  Preparing a batch
+  /// (GP posterior slices, front distillation) is side-effect-free; the
+  /// store is only touched when the batch is applied, in cluster-index
+  /// order, which keeps the warm-store bytes layout-invariant.
   struct PublishBatch {
     priors::ClusterKey key{};
     bool has_outcome = false;
@@ -186,16 +173,11 @@ class ClusterEngine {
     bool has_snapshot = false;
     priors::PriorSnapshot snapshot{};
   };
-  /// Const and store-free: safe to call concurrently across clusters.
+  /// Const and store-free (an empty batch for reference policies).
   [[nodiscard]] PublishBatch prepare_publish() const;
-  /// Apply a prepared batch to `store`.  Serial only, cluster-index order.
+  /// Apply a prepared batch to `store`.
   static void apply_publish(priors::KnowledgeStore& store,
                             const PublishBatch& batch);
-
-  /// prepare_publish + apply_publish in one step (kBofl only; no-op
-  /// otherwise).  The engine's serial escape hatch uses this in
-  /// cluster-index order after the round loop.
-  void publish_to(priors::KnowledgeStore& store) const;
 
  private:
   void append_entry(double deadline_factor);
@@ -227,10 +209,6 @@ class ClusterEngine {
   /// The options the live controller was built with (after tau
   /// auto-scaling) — inputs to the per-entry Eqn. 2 feasibility check.
   core::BoflOptions effective_options_{};
-  /// Fault episodes raised while extending, awaiting the engine's ordered
-  /// flush.  Only the extending thread appends; only the (serial) flush
-  /// drains — never both at once.
-  std::vector<faults::FaultEvent> pending_fault_events_;
   /// Pool handed to the canonical controller's inner loops; survives
   /// workload switches (init_controller re-applies it).
   runtime::ThreadPool* pool_ = nullptr;

@@ -65,16 +65,10 @@ struct FleetConfig {
   /// Shard count; 0 = runtime::resolve_shard_count (enough shards to keep
   /// every worker busy).  Results are bit-identical for every value.
   std::size_t shards = 0;
-  /// Worker threads for the per-round shard fan-out; 0 = one per hardware
-  /// thread, 1 = serial.  Bit-identical for every value.
+  /// Worker threads for the per-round shard passes and the canonical
+  /// controllers' GP/EHVI inner loops; 0 = one per hardware thread,
+  /// 1 = serial.  Bit-identical for every value.
   std::size_t threads = 0;
-  /// Escape hatch: run the per-round cluster control plane (needed-depth
-  /// reduction, trajectory extension, end-of-run prior distillation) one
-  /// cluster at a time on the round-loop thread instead of fanning it over
-  /// the worker pool.  Results are bit-identical either way — the
-  /// control_plane_determinism tests pin it — this only trades wall time
-  /// for a simpler execution schedule (debugging, profiling serial cost).
-  bool serial_control_plane = false;
 
   /// Population heterogeneity: per-client silicon/binning speed factor,
   /// lognormal with this coefficient of variation around the cluster's

@@ -324,9 +324,8 @@ std::uint64_t FleetEngine::soa_bytes() const {
 FleetResult FleetEngine::run() {
   runtime::ThreadPool pool(config_.threads);
   // Hand the pool to every canonical controller for the duration of this
-  // call (it is stack-local): GP/EHVI inner loops fan out when extension
-  // runs on the round-loop thread, and run inline (parallel_for_each's
-  // re-entry guard) when extension itself runs on a worker.
+  // call (it is stack-local): extension runs on the round-loop thread, so
+  // each controller's GP/EHVI inner loops fan out over the workers.
   for (const std::unique_ptr<ClusterEngine>& cluster : clusters_) {
     cluster->set_parallel_pool(&pool);
   }
@@ -350,36 +349,23 @@ FleetResult FleetEngine::run() {
     }
   }
   result.trace_hash = hash;
-  // Knowledge-plane bookkeeping and publish-back.  Distilling a snapshot
-  // walks the canonical controller's GP posterior — expensive — so batches
-  // are PREPARED in parallel across clusters; the store itself only sees
-  // the serial apply loop below, in cluster-index order, so its merged
-  // content (and saved bytes) stays shard/thread-layout invariant.  Derived
-  // from the canonical trajectories, so (like max_queue_depth) these fields
-  // are observability — deliberately NOT folded into trace_hash.
+  // Knowledge-plane bookkeeping and publish-back, in cluster-index order so
+  // the store's merged content (and saved bytes) is layout invariant.
+  // Derived from the canonical trajectories, so (like max_queue_depth)
+  // these fields are observability — deliberately NOT folded into
+  // trace_hash.
   const auto publish_start = std::chrono::steady_clock::now();
   const bool publishing = config_.knowledge != nullptr &&
                           config_.prior_policy != priors::PriorPolicy::kCold;
-  std::vector<ClusterEngine::PublishBatch> batches;
-  if (publishing && !config_.serial_control_plane) {
-    batches.resize(clusters_.size());
-    runtime::parallel_for_each(&pool, clusters_.size(), [&](std::size_t c) {
-      batches[c] = clusters_[c]->prepare_publish();
-    });
-  }
-  for (std::size_t c = 0; c < clusters_.size(); ++c) {
-    const ClusterEngine& cluster = *clusters_[c];
+  for (const std::unique_ptr<ClusterEngine>& cluster : clusters_) {
     result.exploration_rounds +=
-        static_cast<std::uint64_t>(cluster.exploration_entries());
-    if (cluster.applied_policy() != priors::PriorPolicy::kCold) {
+        static_cast<std::uint64_t>(cluster->exploration_entries());
+    if (cluster->applied_policy() != priors::PriorPolicy::kCold) {
       ++result.warm_clusters;
     }
     if (publishing) {
-      if (batches.empty()) {
-        cluster.publish_to(*config_.knowledge);
-      } else {
-        ClusterEngine::apply_publish(*config_.knowledge, batches[c]);
-      }
+      ClusterEngine::apply_publish(*config_.knowledge,
+                                   cluster->prepare_publish());
     }
   }
   control_plane_ms_total_ +=
@@ -507,11 +493,9 @@ FleetRoundStats FleetEngine::run_round(std::int64_t round,
   // switch at round r changes every entry generated from round r on), then
   // extend canonical trajectories under the diurnal deadline factor, then
   // draw the round's deadline jitter (one fleet-wide factor, as in
-  // fl::Simulation).  Extension fans out over the pool — clusters are
-  // independent (own controller, RNG streams, fault channel) — unless
-  // serial_control_plane pins it to this thread.  Either way the fault
-  // events buffered during extension flush serially in cluster-index order,
-  // so the telemetry stream is identical in both modes.
+  // fl::Simulation).  Clusters extend one after another on this thread, in
+  // cluster-index order, so fault events reach the telemetry stream in a
+  // layout-invariant order; each controller's inner loops use the pool.
   const auto control_start = std::chrono::steady_clock::now();
   if (scenario != nullptr) {
     for (const faults::TaskSwitchSpec& ts : scenario->task_switches) {
@@ -530,30 +514,12 @@ FleetRoundStats FleetEngine::run_round(std::int64_t round,
       }
     }
   }
-  // Needed-depth reduction: fold the shards' per-cluster maxima with one
-  // parallel pass over clusters (each index reads all shards, writes only
-  // its own cell) instead of the old O(clusters x shards) serial loop.
-  needed_depth_.assign(clusters_.size(), 0);
-  runtime::parallel_for_each(
-      config_.serial_control_plane ? nullptr : pool, clusters_.size(),
-      [&](std::size_t c) {
-        std::uint32_t needed = 0;
-        for (const ClientShard& shard : shards_) {
-          needed = std::max(needed, shard.needed_entries[c]);
-        }
-        needed_depth_[c] = needed;
-      });
-  if (config_.serial_control_plane) {
-    for (std::size_t c = 0; c < clusters_.size(); ++c) {
-      clusters_[c]->extend_to(needed_depth_[c], deadline_factor);
+  for (std::size_t c = 0; c < clusters_.size(); ++c) {
+    std::uint32_t needed = 0;
+    for (const ClientShard& shard : shards_) {
+      needed = std::max(needed, shard.needed_entries[c]);
     }
-  } else {
-    runtime::parallel_for_each(pool, clusters_.size(), [&](std::size_t c) {
-      clusters_[c]->extend_to(needed_depth_[c], deadline_factor);
-    });
-  }
-  for (const std::unique_ptr<ClusterEngine>& cluster : clusters_) {
-    cluster->flush_fault_events();
+    clusters_[c]->extend_to(needed, deadline_factor);
   }
   const double control_ms = std::chrono::duration<double, std::milli>(
                                 std::chrono::steady_clock::now() -

@@ -18,6 +18,9 @@
 //       —— straggler cutoff from the fleet-wide max deadline    (serial)
 //       pass 3  queue drain → round wall / timed-out counts     (parallel)
 //       —— stats merge, trace hash, telemetry                   (serial)
+//   * The control plane has one schedule (DESIGN.md §6j): clusters extend
+//     one after another on the round-loop thread, and each canonical
+//     controller's GP/EHVI inner loops fan out over the same pool.
 //
 // Determinism: every per-client draw is a pure hash of (seed, domain tag,
 // ids) — never of shard or thread identity — and every cross-shard
@@ -96,9 +99,8 @@ struct FleetResult {
   std::uint64_t exploration_rounds = 0;
   std::uint32_t warm_clusters = 0;
   /// Wall-time split of this run() call: the cluster control plane (task
-  /// switches, needed-depth reduction, trajectory extension, fault-event
-  /// flush, end-of-run prior distillation) vs everything else (the shard
-  /// data plane + merges).  Timing is observability — host-dependent, so
+  /// switches, trajectory extension, end-of-run prior distillation) vs
+  /// everything else (the shard data plane + merges).  Timing is observability — host-dependent, so
   /// (like max_queue_depth) NOT in trace_hash and not part of equality.
   double control_plane_ms = 0.0;
   double data_plane_ms = 0.0;
@@ -202,9 +204,6 @@ class FleetEngine {
   Telemetry tel_;
   /// Absolute round cursor: the next round index run() will execute.
   std::int64_t next_round_ = 0;
-  /// Per-cluster needed trajectory depth for the upcoming round, folded
-  /// from the shards' per-cluster maxima (scratch, sized to clusters_).
-  std::vector<std::uint32_t> needed_depth_;
   /// Lifetime wall-time accumulators behind FleetResult's split: run()
   /// snapshots them on entry and reports the deltas, so stepped runs
   /// attribute time to the call that spent it.

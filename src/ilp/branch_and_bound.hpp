@@ -49,11 +49,6 @@ struct IlpOptions {
   /// optimality.  The schedule solver uses a sub-micro-joule gap, far below
   /// measurement noise, to avoid pathological tail exploration.
   double relative_gap = 0.0;
-  /// Escape hatch for differential testing: when these options reach a
-  /// ScheduleCache (directly or through BoflController / fl::Simulation),
-  /// true bypasses the memo entirely and every round problem is re-solved
-  /// from scratch.  solve_round_ilp itself ignores this flag.
-  bool disable_cache = false;
   /// Optional feasible warm-start solution used as the initial incumbent
   /// (validated against the constraints; ignored if infeasible).  A good
   /// incumbent collapses the search: best-first B&B without one must

@@ -55,9 +55,6 @@ ScheduleCache::Key ScheduleCache::make_key(
 Schedule ScheduleCache::solve(const std::vector<ConfigProfile>& profiles,
                               std::int64_t num_jobs, double deadline_seconds,
                               const IlpOptions& options) {
-  if (options.disable_cache) {
-    return solve_round_schedule(profiles, num_jobs, deadline_seconds, options);
-  }
   // Mirror solve_round_schedule's prologue so validation still covers the
   // profiles the prune would discard.
   BOFL_REQUIRE(!profiles.empty(), "need at least one configuration profile");
@@ -81,112 +78,58 @@ Schedule ScheduleCache::solve(const std::vector<ConfigProfile>& profiles,
   return schedule;
 }
 
-std::unique_lock<std::mutex> ScheduleCache::lock_stripe(Stripe& stripe) {
-  std::unique_lock<std::mutex> lock(stripe.mutex, std::try_to_lock);
-  if (!lock.owns_lock()) {
-    stripe.waits.fetch_add(1, std::memory_order_relaxed);
-    count("ilp.cache_stripe_waits");
-    lock.lock();
-  }
-  return lock;
-}
-
-bool ScheduleCache::wipe_if_full() {
-  // Take every stripe lock in index order (deadlock-free: this is the only
-  // multi-stripe path), then re-check capacity — a concurrent wipe may have
-  // already emptied the table between the caller's check and here.
-  std::array<std::unique_lock<std::mutex>, kStripeCount> locks;
-  for (std::size_t s = 0; s < kStripeCount; ++s) {
-    locks[s] = lock_stripe(stripes_[s]);
-  }
-  if (total_entries_.load(std::memory_order_relaxed) < options_.max_entries) {
-    return false;
-  }
-  for (Stripe& stripe : stripes_) {
-    stripe.entries.clear();
-    stripe.count.store(0, std::memory_order_relaxed);
-  }
-  total_entries_.store(0, std::memory_order_relaxed);
-  evictions_.fetch_add(1, std::memory_order_relaxed);
-  count("ilp.cache_evictions");
-  return true;
-}
-
 Schedule ScheduleCache::solve_pruned(const std::vector<ConfigProfile>& pruned,
                                      std::int64_t num_jobs,
                                      double deadline_seconds,
                                      const IlpOptions& options) {
   // A caller-supplied warm start steers the search itself; don't mix such
   // solves into (or serve them from) the shared memo.
-  if (options.disable_cache || !options.warm_start.empty() || num_jobs == 0) {
+  if (!options.warm_start.empty() || num_jobs == 0) {
     return solve_round_schedule_pruned(pruned, num_jobs, deadline_seconds,
                                        options);
   }
   const Key key = make_key(pruned, num_jobs, deadline_seconds, options);
-  Stripe& stripe = stripe_for(key);
-
   {
-    std::unique_lock<std::mutex> lock = lock_stripe(stripe);
-    auto it = stripe.entries.find(key);
-    if (it != stripe.entries.end()) {
-      stripe.hits.fetch_add(1, std::memory_order_relaxed);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      ++stats_.hits;
       count("ilp.cache_hit");
       return it->second;
     }
+    ++stats_.misses;
   }
-  stripe.misses.fetch_add(1, std::memory_order_relaxed);
   count("ilp.cache_miss");
 
-  // Solve outside any lock: distinct round problems from different threads
+  // Solve outside the lock: distinct round problems from different threads
   // proceed in parallel.  A same-key race costs one duplicate solve of a
   // deterministic problem — both threads store identical bits.
   const Schedule schedule =
       solve_round_schedule_pruned(pruned, num_jobs, deadline_seconds, options);
 
-  if (total_entries_.load(std::memory_order_relaxed) >= options_.max_entries) {
-    wipe_if_full();
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (entries_.size() >= options_.max_entries) {
+    entries_.clear();
+    ++stats_.evictions;
+    count("ilp.cache_evictions");
   }
-  {
-    std::unique_lock<std::mutex> lock = lock_stripe(stripe);
-    auto [it, inserted] = stripe.entries.emplace(key, schedule);
-    (void)it;
-    if (inserted) {
-      stripe.count.fetch_add(1, std::memory_order_relaxed);
-      total_entries_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+  entries_.emplace(key, schedule);
   return schedule;
 }
 
 ScheduleCache::Stats ScheduleCache::stats() const {
-  Stats stats;
-  for (const Stripe& stripe : stripes_) {
-    stats.hits += stripe.hits.load(std::memory_order_relaxed);
-    stats.misses += stripe.misses.load(std::memory_order_relaxed);
-    stats.stripe_waits += stripe.waits.load(std::memory_order_relaxed);
-  }
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
-  return stats;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return stats_;
 }
 
 std::size_t ScheduleCache::size() const {
-  std::size_t total = 0;
-  for (const Stripe& stripe : stripes_) {
-    total += stripe.count.load(std::memory_order_relaxed);
-  }
-  return total;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return entries_.size();
 }
 
 void ScheduleCache::clear() {
-  std::array<std::unique_lock<std::mutex>, kStripeCount> locks;
-  for (std::size_t s = 0; s < kStripeCount; ++s) {
-    locks[s] = lock_stripe(stripes_[s]);
-  }
-  for (Stripe& stripe : stripes_) {
-    stripe.entries.clear();
-    stripe.count.store(0, std::memory_order_relaxed);
-  }
-  total_entries_.store(0, std::memory_order_relaxed);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  entries_.clear();
 }
 
 }  // namespace bofl::ilp

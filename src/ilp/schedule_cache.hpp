@@ -20,18 +20,13 @@
 // (a fleet run logs zero hits) — but ClusterEngine still accepts one.
 //
 // Thread safety: all methods may be called concurrently (fl::Simulation
-// shares one instance across its client threads).  The table is striped:
-// each key hashes to one of kStripeCount independent (mutex, map) stripes,
-// so threads solving distinct round problems almost never serialize on a
-// lock.  Misses solve
-// OUTSIDE any lock so distinct problems solve in parallel.  If two
-// threads race on the same key both solve it and store the same bits —
-// wasted work, never wrong results.  Stats are relaxed atomics per
-// stripe, summed on read, so telemetry scrapes never contend with solves.
+// shares one instance across its client threads).  One mutex guards the
+// map and the stats; misses solve OUTSIDE the lock, so distinct problems
+// solve in parallel and the lock is held only for a lookup or an insert.
+// If two threads race on the same key both solve it and store the same
+// bits — wasted work, never wrong results.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
@@ -73,18 +68,11 @@ class ScheduleCache {
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;     ///< whole-cache wipes at max_entries
-    std::uint64_t stripe_waits = 0;  ///< lock acquisitions that had to block
+    std::uint64_t evictions = 0;  ///< whole-cache wipes at max_entries
   };
-  /// Lock-free: sums the per-stripe relaxed atomics.  Exact once the cache
-  /// is quiescent; during concurrent solves a scrape may see a count that
-  /// is mid-update by one, never torn.
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] std::size_t size() const;
   void clear();
-
-  /// Number of independently-locked stripes (fixed, power of two).
-  static constexpr std::size_t kStripeCount = 16;
 
  private:
   struct Key {
@@ -107,37 +95,10 @@ class ScheduleCache {
                              std::int64_t num_jobs, double deadline_seconds,
                              const IlpOptions& options) const;
 
-  /// One lock + map per stripe; stats are relaxed atomics so stats()/size()
-  /// never take a lock.  Keys land on the stripe named by the TOP bits of
-  /// their FNV-1a hash — the map itself consumes the low bits, so stripe
-  /// choice and in-stripe bucketing stay independent.
-  struct Stripe {
-    std::mutex mutex;
-    std::unordered_map<Key, Schedule, KeyHash> entries;
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> misses{0};
-    std::atomic<std::uint64_t> waits{0};
-    std::atomic<std::size_t> count{0};
-  };
-
-  [[nodiscard]] Stripe& stripe_for(const Key& key) const {
-    return stripes_[static_cast<std::size_t>(key.hash >> 60) %
-                    kStripeCount];
-  }
-  /// Locks `stripe.mutex`, counting the acquisition as a stripe wait (both
-  /// in stripe.waits and the ilp.cache_stripe_waits counter) when the lock
-  /// was contended.
-  static std::unique_lock<std::mutex> lock_stripe(Stripe& stripe);
-  /// Wipes every stripe if the approximate total is still at/over capacity
-  /// once all stripe locks are held.  Returns true if a wipe happened.
-  bool wipe_if_full();
-
   ScheduleCacheOptions options_;
-  mutable std::array<Stripe, kStripeCount> stripes_;
-  /// Approximate live-entry total driving the capacity wipe; exact when
-  /// quiescent, may lag by in-flight inserts under contention.
-  std::atomic<std::size_t> total_entries_{0};
-  std::atomic<std::uint64_t> evictions_{0};
+  mutable std::mutex mutex_;
+  std::unordered_map<Key, Schedule, KeyHash> entries_;  ///< guarded by mutex_
+  Stats stats_;                                         ///< guarded by mutex_
 };
 
 }  // namespace bofl::ilp

@@ -1,7 +1,7 @@
 // ISSUE 5 acceptance pin: the fleet-shared exploitation-ILP memo must be
-// invisible in the simulation output.  Cache on vs cache off (either via
-// share_schedule_cache or the IlpOptions::disable_cache escape hatch), for
-// any thread count, bit-identical results throughout.
+// invisible in the simulation output.  Cache on vs cache off (via
+// share_schedule_cache), for any thread count, bit-identical results
+// throughout.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -64,15 +64,9 @@ TEST(SteadyStateCache, SharedCacheIsBitInvisible) {
   cached.share_schedule_cache = true;
   FlSimulationConfig uncached = base_config();
   uncached.share_schedule_cache = false;
-  FlSimulationConfig escape = base_config();
-  escape.share_schedule_cache = true;
-  escape.bofl_options.ilp.disable_cache = true;
 
-  const FlSimulationResult with_cache = run_with(cached);
-  const FlSimulationResult without_cache = run_with(uncached);
-  const FlSimulationResult with_escape = run_with(escape);
-  expect_identical(with_cache, without_cache, "share_schedule_cache off");
-  expect_identical(with_cache, with_escape, "IlpOptions::disable_cache");
+  expect_identical(run_with(cached), run_with(uncached),
+                   "share_schedule_cache off");
 }
 
 TEST(SteadyStateCache, SharedCacheIsThreadCountInvariant) {

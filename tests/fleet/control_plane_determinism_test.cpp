@@ -1,11 +1,13 @@
-// The parallel cluster control plane's bit-identity contract: fanning the
-// per-round needed-depth reduction, trajectory extension and end-of-run
-// prior distillation over the worker pool must leave every trace, counter
-// and warm-store byte exactly where the serial control plane
-// (--serial-control-plane) puts them, at any shards x threads layout.
+// The cluster control plane's layout-invariance contract: with clusters
+// extended one after another on the round-loop thread and each canonical
+// controller's inner loops on the pool, every trace, counter, warm-store
+// byte and fault event must come out exactly as the 1 shard x 1 thread run
+// puts them, at any shards x threads layout.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +18,8 @@
 #include "faults/scenarios.hpp"
 #include "fleet/fleet_engine.hpp"
 #include "priors/knowledge_store.hpp"
+#include "telemetry/metrics.hpp"
+#include "telemetry/run_recorder.hpp"
 
 namespace bofl::fleet {
 namespace {
@@ -38,12 +42,23 @@ FleetConfig four_cluster_config(const device::DeviceModel* agx,
 }
 
 FleetResult run_with(FleetConfig config, std::size_t shards,
-                     std::size_t threads, bool serial_control_plane) {
+                     std::size_t threads) {
   config.shards = shards;
   config.threads = threads;
-  config.serial_control_plane = serial_control_plane;
   FleetEngine engine(std::move(config));
   return engine.run();
+}
+
+/// The tested layouts: shards {1, 16} x threads {1, 8}.
+template <typename Fn>
+void for_each_layout(Fn&& fn) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{16}}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "shards=" << shards << " threads=" << threads);
+      fn(shards, threads);
+    }
+  }
 }
 
 void expect_identical(const FleetResult& a, const FleetResult& b) {
@@ -58,24 +73,16 @@ void expect_identical(const FleetResult& a, const FleetResult& b) {
   EXPECT_EQ(a.telemetry.deadline_misses, b.telemetry.deadline_misses);
 }
 
-/// Every tested layout, parallel control plane vs the serial escape hatch
-/// at the SAME layout, plus everything vs the 1x1 serial reference.
+/// Every tested layout against the 1x1 reference.
 void expect_layout_sweep_identical(const FleetConfig& base) {
-  const FleetResult reference = run_with(base, 1, 1, /*serial=*/true);
+  const FleetResult reference = run_with(base, 1, 1);
   ASSERT_GT(reference.total_participants(), 0u);
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{16}}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "shards=" << shards << " threads=" << threads);
-      const FleetResult parallel = run_with(base, shards, threads, false);
-      const FleetResult serial = run_with(base, shards, threads, true);
-      expect_identical(reference, parallel);
-      expect_identical(reference, serial);
-    }
-  }
+  for_each_layout([&](std::size_t shards, std::size_t threads) {
+    expect_identical(reference, run_with(base, shards, threads));
+  });
 }
 
-TEST(ControlPlaneDeterminism, ParallelMatchesSerialAtEveryLayout) {
+TEST(ControlPlaneDeterminism, TraceIsLayoutInvariant) {
   const device::DeviceModel agx = device::jetson_agx();
   const device::DeviceModel tx2 = device::jetson_tx2();
   expect_layout_sweep_identical(four_cluster_config(&agx, &tx2));
@@ -85,8 +92,8 @@ TEST(ControlPlaneDeterminism, AllClusterTaskSwitchWorstCase) {
   const device::DeviceModel agx = device::jetson_agx();
   const device::DeviceModel tx2 = device::jetson_tx2();
   FleetConfig base = four_cluster_config(&agx, &tx2);
-  // Every cluster re-explores in the same round: the worst case for
-  // concurrent extension (all controllers rebuild trajectories at once).
+  // Every cluster re-explores in the same round: the control plane's worst
+  // case (all controllers rebuild trajectories at once).
   faults::FleetScenario scenario;
   scenario.seed = 7;
   scenario.name = "all-switch";
@@ -97,8 +104,8 @@ TEST(ControlPlaneDeterminism, AllClusterTaskSwitchWorstCase) {
   // must change the trace.
   FleetConfig no_switch = base;
   no_switch.scenario->task_switches[0].round = base.rounds + 10;
-  EXPECT_NE(run_with(base, 1, 1, true).trace_hash,
-            run_with(no_switch, 1, 1, true).trace_hash);
+  EXPECT_NE(run_with(base, 1, 1).trace_hash,
+            run_with(no_switch, 1, 1).trace_hash);
 
   expect_layout_sweep_identical(base);
 }
@@ -110,9 +117,8 @@ TEST(ControlPlaneDeterminism, StragglerHeavyFaultPlan) {
   base.fault_plan = faults::make_scenario("straggler-heavy", 99, 100.0);
   base.straggler_timeout = 1.05;
 
-  // The plan must bite (late reports, dropouts, cutoff timeouts) so the
-  // buffered fault-event path is genuinely exercised under concurrency.
-  const FleetResult reference = run_with(base, 1, 1, true);
+  // The plan must bite (late reports, dropouts, cutoff timeouts).
+  const FleetResult reference = run_with(base, 1, 1);
   std::uint64_t stragglers = 0;
   std::uint64_t dropped = 0;
   std::uint64_t timed_out = 0;
@@ -133,34 +139,60 @@ TEST(ControlPlaneDeterminism, WarmStoreBytesAreLayoutInvariant) {
   const device::DeviceModel tx2 = device::jetson_tx2();
   // Small population, long run, big cohort: clusters reach exploitation so
   // the end-of-run publish contributes distilled snapshots, not just
-  // outcome feedback (the parallelized prepare_publish path).
+  // outcome feedback.
   FleetConfig base = four_cluster_config(&agx, &tx2);
   base.num_clients = 1200;
   base.rounds = 20;
   base.cohort_fraction = 0.5;
   base.prior_policy = priors::PriorPolicy::kVerify;
 
-  const auto store_bytes = [&](std::size_t shards, std::size_t threads,
-                               bool serial_cp) {
+  const auto store_bytes = [&](std::size_t shards, std::size_t threads) {
     priors::KnowledgeStore store;
     FleetConfig config = base;
     config.knowledge = &store;
-    const FleetResult result = run_with(std::move(config), shards, threads,
-                                        serial_cp);
+    const FleetResult result = run_with(std::move(config), shards, threads);
     EXPECT_GT(result.total_participants(), 0u);
     EXPECT_GT(store.num_clusters(), 0u);
     return store.to_json();
   };
 
-  const std::string reference = store_bytes(1, 1, /*serial=*/true);
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{16}}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "shards=" << shards << " threads=" << threads);
-      EXPECT_EQ(store_bytes(shards, threads, false), reference);
-      EXPECT_EQ(store_bytes(shards, threads, true), reference);
+  const std::string reference = store_bytes(1, 1);
+  for_each_layout([&](std::size_t shards, std::size_t threads) {
+    EXPECT_EQ(store_bytes(shards, threads), reference);
+  });
+}
+
+TEST(ControlPlaneDeterminism, FaultEventStreamIsLayoutInvariant) {
+  const device::DeviceModel agx = device::jetson_agx();
+  const device::DeviceModel tx2 = device::jetson_tx2();
+  FleetConfig base = four_cluster_config(&agx, &tx2);
+  // Device-level faults: every canonical controller runs behind a fault
+  // channel, so extension raises fault episodes in every cluster.
+  base.fault_plan = faults::make_scenario("thermal-storm", 5, 100.0);
+
+  const auto fault_events = [&](std::size_t shards, std::size_t threads) {
+    const std::string path = ::testing::TempDir() + "/fleet_faults_" +
+                             std::to_string(shards) + "x" +
+                             std::to_string(threads) + ".jsonl";
+    telemetry::Registry registry;
+    {
+      telemetry::RunRecorder recorder(registry, path);
+      telemetry::install_global_recorder(&recorder);
+      const FleetResult result = run_with(base, shards, threads);
+      telemetry::install_global_recorder(nullptr);
+      EXPECT_GT(result.total_participants(), 0u);
     }
-  }
+    std::ifstream in(path);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+  };
+
+  const std::string reference = fault_events(1, 1);
+  EXPECT_NE(reference.find("\"fault\""), std::string::npos);
+  for_each_layout([&](std::size_t shards, std::size_t threads) {
+    EXPECT_EQ(fault_events(shards, threads), reference);
+  });
 }
 
 }  // namespace

@@ -97,11 +97,11 @@ TEST(Kernel, CrossCovarianceMatchesPointwise) {
 }
 
 TEST(Kernel, GramFromAPoolWorkerIsBitwiseEqualToSerial) {
-  // The fleet control plane extends clusters ON pool workers, and each
-  // cluster's GP fit may hand that same pool to gram().  The row fan-out
-  // must detect the worker thread and run inline (never re-enter the pool)
-  // and the result must stay bitwise equal to the serial product.  Use
-  // enough points to cross gram()'s internal parallel threshold.
+  // A GP fit that itself runs ON a pool worker may hand that same pool to
+  // gram().  The row fan-out must detect the worker thread and run inline
+  // (never re-enter the pool) and the result must stay bitwise equal to
+  // the serial product.  Use enough points to cross gram()'s internal
+  // parallel threshold.
   Rng rng(42);
   const Kernel k(KernelFamily::kMatern52, 1.2, {0.4, 0.4, 0.4});
   std::vector<linalg::Vector> points;

@@ -15,9 +15,9 @@
 namespace bofl::ilp::reference {
 
 /// Minimize problem.objective over non-negative integer vectors satisfying
-/// problem.constraints, with the production IlpOptions semantics
-/// (disable_cache is ignored).  The continuous relaxation must be bounded
-/// (the schedule problems always are because of the job-count equality).
+/// problem.constraints, with the production IlpOptions semantics.  The
+/// continuous relaxation must be bounded (the schedule problems always are
+/// because of the job-count equality).
 [[nodiscard]] IlpSolution solve_ilp(const LpProblem& problem,
                                     const IlpOptions& options = {});
 

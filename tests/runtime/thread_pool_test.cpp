@@ -98,11 +98,11 @@ TEST(ParallelForEach, NestedRegionsOnOnePoolComplete) {
 }
 
 TEST(ParallelForEach, ReenteringThePoolFromASubmittedWorkerRunsInline) {
-  // The nested-parallelism rule the fleet control plane relies on: a region
-  // started FROM a pool worker (a submitted task, not a nested region) must
-  // detect the worker thread and run inline instead of re-entering the pool
-  // — otherwise a pool whose every worker waits on a nested region
-  // deadlocks.  Saturate the pool with such tasks to force the worst case.
+  // The nested-parallelism rule: a region started FROM a pool worker (a
+  // submitted task, not a nested region) must detect the worker thread and
+  // run inline instead of re-entering the pool — otherwise a pool whose
+  // every worker waits on a nested region deadlocks.  Saturate the pool
+  // with such tasks to force the worst case.
   ThreadPool pool(2);
   std::atomic<int> total{0};
   std::vector<std::future<void>> futures;
