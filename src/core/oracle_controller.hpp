@@ -23,12 +23,6 @@ class OracleController final : public PaceController {
   }
   [[nodiscard]] Seconds sim_time() const override { return clock_.now(); }
 
-  /// The true Pareto-optimal profiles (from exhaustive offline profiling).
-  [[nodiscard]] const std::vector<ilp::ConfigProfile>& pareto_profiles()
-      const {
-    return pareto_profiles_;
-  }
-
  private:
   const device::DeviceModel& model_;
   device::WorkloadProfile profile_;

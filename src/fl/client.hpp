@@ -50,15 +50,6 @@ class Client {
 
   [[nodiscard]] std::size_t id() const { return id_; }
   [[nodiscard]] std::int64_t num_minibatches() const;
-  [[nodiscard]] const core::PaceController& controller() const {
-    return *controller_;
-  }
-
-  /// Forward a device fault model to the pace controller (src/faults).
-  /// Non-owning; `faults` must outlive the client.
-  void install_fault_model(device::JobFaultModel* faults) {
-    controller_->install_fault_model(faults);
-  }
 
  private:
   std::size_t id_;

@@ -5,10 +5,9 @@
 // directly, while the fleet-level examples and tests use this.
 #pragma once
 
-#include <memory>
 #include <optional>
 
-#include "core/bofl_controller.hpp"
+#include "core/controller_factory.hpp"
 #include "device/device_model.hpp"
 #include "faults/fault_plan.hpp"
 #include "fl/client.hpp"
@@ -22,15 +21,6 @@ class KnowledgeStore;
 }
 
 namespace bofl::fl {
-
-enum class ControllerKind {
-  kBofl,
-  kPerformant,
-  kOracle,
-  kLinear,
-};
-
-[[nodiscard]] const char* to_string(ControllerKind kind);
 
 /// How the server assigns round deadlines (fl/deadline_policy.hpp).
 enum class DeadlinePolicyKind {
@@ -57,7 +47,7 @@ struct FlSimulationConfig {
   std::size_t test_examples = 512;
   double learning_rate = 0.1;
   double deadline_ratio = 2.0;        ///< T_max / T_min
-  ControllerKind controller = ControllerKind::kBofl;
+  core::ControllerKind controller = core::ControllerKind::kBofl;
   std::uint64_t seed = 1;
   // Model / data geometry.
   std::size_t feature_dim = 16;
@@ -69,11 +59,10 @@ struct FlSimulationConfig {
   /// Non-IID skew of client shards (0 = IID).
   double shard_skew = 1.0;
   /// Pace-controller tuning for BoFL clients.  Fleet simulations often use
-  /// small shards, so τ defaults to a fraction of the round rather than the
-  /// paper's 5 s; set explicitly to override.  mbo_cost is always replaced
-  /// by the device-calibrated model.
+  /// small shards, so τ is capped at each client's round T_min / 8 rather
+  /// than the paper's 5 s, and mbo_cost is always replaced by the
+  /// device-calibrated model (both by core::make_controller).
   core::BoflOptions bofl_options{};
-  bool auto_scale_tau = true;
 
   /// Model architecture; kLstm switches the data to sequences and (unless
   /// overridden) the hardware footprint to the LSTM profile.
@@ -111,15 +100,6 @@ struct FlSimulationConfig {
   double uplink_mbps = 5.0;  ///< paper's 4G-LTE example (§6.5 footnote)
   double uplink_cv = 0.25;
   double upload_safety_factor = 1.25;
-
-  /// Share one ilp::ScheduleCache across the fleet's BoFL controllers so a
-  /// cohort of clients facing the same round problem (identical Pareto
-  /// set, job count, deadline) runs branch-and-bound once instead of once
-  /// per client.  Bit-identical on or off, for any `threads` value (the
-  /// cache keys on exact bits and the solver is deterministic); off is the
-  /// uncached oracle the bit-identity tests compare against.  Ignored for
-  /// non-BoFL controllers.
-  bool share_schedule_cache = true;
 
   /// Fleet knowledge plane (src/priors).  When set, every BoFL client asks
   /// the store for its (device model × workload) cluster's prior under
@@ -183,10 +163,6 @@ class FederatedSimulation {
   [[nodiscard]] FlSimulationResult run();
 
  private:
-  [[nodiscard]] std::unique_ptr<core::PaceController> make_controller(
-      const device::DeviceModel& model, std::uint64_t seed,
-      Seconds round_t_min) const;
-
   /// Fold one finished round into the global telemetry registry / event
   /// stream (no-op when telemetry is off; never perturbs the simulation).
   void record_round_telemetry(const FlRoundStats& stats, std::size_t dropouts,
@@ -194,9 +170,6 @@ class FederatedSimulation {
 
   std::vector<const device::DeviceModel*> devices_;
   FlSimulationConfig config_;
-  /// Fleet-wide exploitation-ILP memo (share_schedule_cache); thread-safe,
-  /// handed to every BoFL controller as a non-owning pointer.
-  std::unique_ptr<ilp::ScheduleCache> schedule_cache_;
 };
 
 }  // namespace bofl::fl

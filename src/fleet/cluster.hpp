@@ -1,10 +1,11 @@
 // Per-cluster canonical cost trajectories.
 //
 // At fleet scale most clients are near-duplicates: same SoC, same workload
-// class (ROADMAP item 2's observation).  The fleet engine therefore keeps
-// ONE canonical pace controller per cluster — a full BoflController (or the
-// Performant / Oracle reference policy) running on the cluster's device
-// model with the cluster's own deadline stream — and represents every
+// class.  The fleet engine therefore keeps ONE canonical pace controller per
+// cluster — whatever core::make_controller builds for FleetConfig::controller
+// (BoFL, or the same Performant / Oracle / LinearModel controllers the
+// paper-figure benches run), on the cluster's device model with the
+// cluster's own deadline stream — and represents every
 // client in the cluster as a replay of the canonical per-participation
 // trajectory, scaled by that client's pure-hash heterogeneity and jitter
 // factors.  A client that has participated k times sits at trajectory entry
@@ -19,12 +20,12 @@
 // downstream accumulation is integer addition or max, so fleet traces are
 // bit-identical at any shard count (see fleet_engine.hpp).
 //
-// The cluster also owns the cluster-level device::FlatPerfTable (the PR 5
-// SoA cost surface, built once per cluster instead of once per client), so
-// the steady-state exploitation work of a million near-duplicate clients is
+// The cluster also owns the cluster-level device::FlatPerfTable (the SoA
+// cost surface, built once per cluster instead of once per client), so the
+// steady-state exploitation work of a million near-duplicate clients is
 // paid once per cluster entry.  The cluster index is the "Pareto-front
-// handle": clients carry only the index; the front itself
-// (pareto_flat_ids) lives here.
+// handle": clients carry only the index; the front itself lives in the
+// canonical controller.
 #pragma once
 
 #include <cstdint>
@@ -32,12 +33,11 @@
 #include <optional>
 #include <vector>
 
-#include "core/bofl_controller.hpp"
+#include "core/controller_factory.hpp"
 #include "faults/fault_injector.hpp"
 #include "fleet/fleet_config.hpp"
 #include "ilp/schedule_cache.hpp"
-#include "priors/cluster_key.hpp"
-#include "priors/snapshot.hpp"
+#include "priors/admission.hpp"
 
 namespace bofl::priors {
 class KnowledgeStore;
@@ -56,11 +56,13 @@ namespace bofl::fleet {
 class ClusterEngine {
  public:
   /// `spec.model`, `config` and `cache` (nullable) must outlive the
-  /// engine (workload switches rebuild the controller from `config`).  When
-  /// `injector` (nullable) carries device-level faults, the canonical
+  /// engine (workload switches rebuild the controller from `config`).
+  /// `cache` routes a BoFL controller's exploitation solves.  When
+  /// `injector` (nullable) carries device-level faults, a canonical BoFL
   /// controller runs behind a DeviceFaultChannel keyed on the cluster
   /// index, so storms / clamps / flaky reads hit the whole cluster's
-  /// trajectory exactly as they would a single device.
+  /// trajectory exactly as they would a single device.  The other kinds
+  /// run without a channel.
   ClusterEngine(std::size_t index, const ClusterSpec& spec,
                 const FleetConfig& config, ilp::ScheduleCache* cache,
                 const faults::FaultInjector* injector);
@@ -76,8 +78,10 @@ class ClusterEngine {
     /// Pessimistic Eqn. 2 feasibility, evaluated BEFORE the entry ran (the
     /// scenario harness's never-miss precondition): at the worst fault
     /// effect in the deadline window, jobs * T_pess * (1 + margin) fits the
-    /// deadline minus the tau + first-job reserve.  An infeasible entry is
-    /// allowed to miss; a feasible one never is.
+    /// deadline minus the tau + first-job reserve.  Margin and reserve are
+    /// BoFL's; the other kinds have neither, so for them this is "running
+    /// flat out fits".  An infeasible entry is allowed to miss; a feasible
+    /// one never is.
     bool feasible = true;
   };
 
@@ -122,16 +126,11 @@ class ClusterEngine {
   }
   /// Round T_min (Table 2 definition) of the cluster's device/workload.
   [[nodiscard]] Seconds t_min() const { return t_min_; }
-  /// Cluster-level SoA cost surface (shared by reference policies and
-  /// reporting; clients never build their own).
+  /// Cluster-level SoA cost surface (the feasibility check's x_max
+  /// latency; clients never build their own).
   [[nodiscard]] const device::FlatPerfTable& flat_table() const {
     return table_;
   }
-  /// The cluster's Pareto front, as flat config ids: the canonical BoFL
-  /// controller's constructed front, or the true front for the reference
-  /// policies.  This is what a client's "Pareto-front handle" (its cluster
-  /// index) dereferences to.
-  [[nodiscard]] std::vector<std::size_t> pareto_flat_ids() const;
 
   /// Trajectory entries spent outside exploitation (phases 1–2) — the
   /// knowledge plane's headline metric: warm-started clusters collapse
@@ -145,70 +144,52 @@ class ClusterEngine {
   [[nodiscard]] priors::PriorPolicy applied_policy() const {
     return applied_policy_;
   }
-  /// How the canonical controller's prior resolved (kNone for reference
-  /// policies and cold starts).
-  [[nodiscard]] core::BoflController::PriorState prior_state() const {
-    return controller_ != nullptr
-               ? controller_->prior_state()
-               : core::BoflController::PriorState::kNone;
-  }
-
-  /// The live canonical controller (nullptr for reference policies).  The
-  /// scenario harness samples its observed Pareto front per round; the
+  /// The live canonical BoFL controller (nullptr for the other kinds).
+  /// The scenario harness samples its observed Pareto front per round; the
   /// pointer is invalidated by switch_workload.
   [[nodiscard]] const core::BoflController* canonical_controller() const {
-    return controller_.get();
+    return bofl_;
   }
 
-  /// Everything a cluster wants to tell the knowledge store at end of run:
-  /// outcome feedback for the confidence score, plus a distilled snapshot
-  /// when the canonical controller reached exploitation.  Preparing a batch
-  /// (GP posterior slices, front distillation) is side-effect-free; the
-  /// store is only touched when the batch is applied, in cluster-index
+  /// Everything a cluster wants to tell the knowledge store at end of run
+  /// (see priors/admission.hpp).  Preparing a batch is side-effect-free;
+  /// the store is only touched when the batch is applied, in cluster-index
   /// order, which keeps the warm-store bytes layout-invariant.
-  struct PublishBatch {
-    priors::ClusterKey key{};
-    bool has_outcome = false;
-    bool confirmed = false;
-    bool has_snapshot = false;
-    priors::PriorSnapshot snapshot{};
-  };
-  /// Const and store-free (an empty batch for reference policies).
+  using PublishBatch = priors::PublishBatch;
+  /// Const and store-free (an empty batch for non-BoFL kinds).
   [[nodiscard]] PublishBatch prepare_publish() const;
   /// Apply a prepared batch to `store`.
   static void apply_publish(priors::KnowledgeStore& store,
-                            const PublishBatch& batch);
+                            const PublishBatch& batch) {
+    priors::apply_publish(store, batch);
+  }
 
  private:
   void append_entry(double deadline_factor);
   void init_controller();
-  void rebuild_true_front();
-  [[nodiscard]] RoundEntry bofl_entry(const core::RoundSpec& spec);
-  [[nodiscard]] RoundEntry reference_entry(const core::RoundSpec& spec);
 
   std::size_t index_ = 0;
   const device::DeviceModel* model_ = nullptr;
   device::WorkloadProfile profile_;
-  FleetControllerKind kind_ = FleetControllerKind::kBofl;
   std::int64_t jobs_per_round_ = 0;
   Seconds t_min_{0.0};
   device::FlatPerfTable table_;
-  std::size_t x_max_flat_ = 0;
-  /// True-front profiles (dominance-pruned over the flat table), used by
-  /// the Oracle policy's per-entry ILP.
-  std::vector<ilp::ConfigProfile> true_front_;
   Rng deadline_rng_;
   double deadline_ratio_ = 8.0;
   ilp::ScheduleCache* cache_ = nullptr;  ///< non-owning, optional
   /// The engine's config (stable for the engine's lifetime): workload
   /// switches rebuild the canonical controller from it.
   const FleetConfig* config_ = nullptr;
-  /// Canonical BoFL controller (kBofl only) and its fault channel.
+  /// Device fault channel (BoFL only) and the canonical controller;
+  /// `bofl_` aliases `controller_` for kBofl and is null otherwise.
   std::unique_ptr<faults::DeviceFaultChannel> channel_;
-  std::unique_ptr<core::BoflController> controller_;
-  /// The options the live controller was built with (after tau
-  /// auto-scaling) — inputs to the per-entry Eqn. 2 feasibility check.
-  core::BoflOptions effective_options_{};
+  std::unique_ptr<core::PaceController> controller_;
+  core::BoflController* bofl_ = nullptr;
+  /// The live controller's Eqn. 2 margin and reserve (τ after the cap,
+  /// first-job allowance); all zero for the non-BoFL kinds.
+  double feasibility_margin_ = 0.0;
+  double reserve_tau_s_ = 0.0;
+  double reserve_allowance_ = 0.0;
   /// Pool handed to the canonical controller's inner loops; survives
   /// workload switches (init_controller re-applies it).
   runtime::ThreadPool* pool_ = nullptr;

@@ -10,7 +10,7 @@
 #include <optional>
 #include <vector>
 
-#include "core/bofl_controller.hpp"
+#include "core/controller_factory.hpp"
 #include "device/device_model.hpp"
 #include "device/workload.hpp"
 #include "faults/fault_plan.hpp"
@@ -22,17 +22,6 @@ class KnowledgeStore;
 }
 
 namespace bofl::fleet {
-
-/// Which pace-control policy the fleet's clients follow.  One canonical
-/// controller per cluster produces the per-participation cost trajectory
-/// that the cluster's clients share (see cluster.hpp).
-enum class FleetControllerKind {
-  kBofl,        ///< the paper's controller (phase 1 → 2 → 3)
-  kPerformant,  ///< every job at x_max
-  kOracle,      ///< exploitation ILP over the true Pareto front every round
-};
-
-[[nodiscard]] const char* to_string(FleetControllerKind kind);
 
 /// One fleet cluster: a population slice sharing a device model and
 /// workload (the paper's "same SoC, same task" cohort).  Clients are
@@ -60,7 +49,9 @@ struct FleetConfig {
   /// clients stuck in exploration).
   double deadline_ratio = 8.0;
   std::uint64_t seed = 1;
-  FleetControllerKind controller = FleetControllerKind::kBofl;
+  /// The pace-control policy every cluster's canonical controller follows
+  /// (built by core::make_controller; see cluster.hpp).
+  core::ControllerKind controller = core::ControllerKind::kBofl;
 
   /// Shard count; 0 = runtime::resolve_shard_count (enough shards to keep
   /// every worker busy).  Results are bit-identical for every value.
@@ -80,11 +71,10 @@ struct FleetConfig {
   double round_noise_cv = 0.01;
 
   /// Pace-controller tuning for the canonical BoFL controllers.  As in
-  /// fl::Simulation, τ is auto-scaled to min(τ, round T_min / 8) so short
-  /// fleet rounds can still explore; mbo_cost is replaced by the
-  /// device-calibrated model.
+  /// fl::Simulation, τ is capped at round T_min / 8 so short fleet rounds
+  /// can still explore, and mbo_cost is replaced by the device-calibrated
+  /// model (both by core::make_controller).
   core::BoflOptions bofl_options{};
-  bool auto_scale_tau = true;
 
   /// Server-side straggler handling: wait at most this multiple of the
   /// round's reference deadline (the cohort's largest effective deadline)

@@ -15,7 +15,7 @@ FlSimulationConfig mixed_config() {
   config.epochs = 1;
   config.minibatch_size = 16;
   config.shard_examples = 128;
-  config.controller = ControllerKind::kPerformant;
+  config.controller = core::ControllerKind::kPerformant;
   config.deadline_ratio = 2.5;
   config.seed = 1717;
   return config;
@@ -89,9 +89,9 @@ TEST(HeterogeneousFleet, BoflFleetSavesEnergyOnMixedHardware) {
   config.epochs = 2;
   config.rounds = 25;
   config.deadline_ratio = 3.0;
-  config.controller = ControllerKind::kBofl;
+  config.controller = core::ControllerKind::kBofl;
   FederatedSimulation bofl_sim({&agx, &tx2}, config);
-  config.controller = ControllerKind::kPerformant;
+  config.controller = core::ControllerKind::kPerformant;
   FederatedSimulation perf_sim({&agx, &tx2}, config);
   const FlSimulationResult bofl = bofl_sim.run();
   const FlSimulationResult perf = perf_sim.run();

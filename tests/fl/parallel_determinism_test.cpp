@@ -18,7 +18,7 @@ FlSimulationConfig fleet_config(std::size_t threads) {
   config.minibatch_size = 16;
   config.shard_examples = 128;
   config.test_examples = 256;
-  config.controller = ControllerKind::kBofl;
+  config.controller = core::ControllerKind::kBofl;
   config.seed = 20220811;
   config.threads = threads;
   return config;
@@ -65,7 +65,7 @@ TEST(ParallelDeterminism, DropoutStreamSurvivesParallelism) {
   // loop's thread so the stream is identical for any worker count.
   FlSimulationConfig serial = fleet_config(1);
   serial.dropout_probability = 0.25;
-  serial.controller = ControllerKind::kPerformant;
+  serial.controller = core::ControllerKind::kPerformant;
   FlSimulationConfig parallel = serial;
   parallel.threads = 8;
   expect_identical(run_with(serial), run_with(parallel));
@@ -76,7 +76,7 @@ TEST(ParallelDeterminism, ReportingModeAdaptersStayPerClient) {
   // all of it keyed by client id, none shared across workers.
   FlSimulationConfig serial = fleet_config(1);
   serial.reporting_deadline_mode = true;
-  serial.controller = ControllerKind::kPerformant;
+  serial.controller = core::ControllerKind::kPerformant;
   FlSimulationConfig parallel = serial;
   parallel.threads = 8;
   expect_identical(run_with(serial), run_with(parallel));
@@ -135,7 +135,7 @@ TEST(ParallelDeterminism, HeterogeneousFleetIsThreadCountInvariant) {
   const device::DeviceModel tx2 = device::jetson_tx2();
   const std::vector<const device::DeviceModel*> devices{&agx, &tx2};
   FlSimulationConfig serial = fleet_config(1);
-  serial.controller = ControllerKind::kPerformant;
+  serial.controller = core::ControllerKind::kPerformant;
   FlSimulationConfig parallel = serial;
   parallel.threads = 8;
   FederatedSimulation sim_serial(devices, serial);

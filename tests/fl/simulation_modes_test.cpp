@@ -16,7 +16,7 @@ FlSimulationConfig base_config() {
   config.minibatch_size = 16;
   config.shard_examples = 128;
   config.test_examples = 256;
-  config.controller = ControllerKind::kPerformant;
+  config.controller = core::ControllerKind::kPerformant;
   config.seed = 909;
   return config;
 }
@@ -92,7 +92,7 @@ TEST(SimulationModes, ReportingModeDropsOnDeadLink) {
 TEST(SimulationModes, ReportingModeWorksWithBofl) {
   const device::DeviceModel agx = device::jetson_agx();
   FlSimulationConfig config = base_config();
-  config.controller = ControllerKind::kBofl;
+  config.controller = core::ControllerKind::kBofl;
   config.reporting_deadline_mode = true;
   config.uplink_mbps = 20.0;
   config.minibatch_size = 8;

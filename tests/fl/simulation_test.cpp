@@ -5,7 +5,7 @@
 namespace bofl::fl {
 namespace {
 
-FlSimulationConfig small_config(ControllerKind kind) {
+FlSimulationConfig small_config(core::ControllerKind kind) {
   FlSimulationConfig config;
   config.num_clients = 6;
   config.clients_per_round = 3;
@@ -21,7 +21,7 @@ FlSimulationConfig small_config(ControllerKind kind) {
 
 TEST(Simulation, AccuracyImprovesUnderFedAvg) {
   const device::DeviceModel agx = device::jetson_agx();
-  FederatedSimulation sim(agx, small_config(ControllerKind::kPerformant));
+  FederatedSimulation sim(agx, small_config(core::ControllerKind::kPerformant));
   const FlSimulationResult result = sim.run();
   ASSERT_EQ(result.rounds.size(), 8u);
   EXPECT_GT(result.final_accuracy(), result.rounds.front().global_accuracy);
@@ -31,7 +31,7 @@ TEST(Simulation, AccuracyImprovesUnderFedAvg) {
 
 TEST(Simulation, EveryRoundAggregatesUpdates) {
   const device::DeviceModel agx = device::jetson_agx();
-  FederatedSimulation sim(agx, small_config(ControllerKind::kPerformant));
+  FederatedSimulation sim(agx, small_config(core::ControllerKind::kPerformant));
   const FlSimulationResult result = sim.run();
   for (const FlRoundStats& round : result.rounds) {
     EXPECT_EQ(round.participants, 3u);
@@ -45,14 +45,14 @@ TEST(Simulation, BoflUsesLessEnergyThanPerformant) {
   const device::DeviceModel agx = device::jetson_agx();
   // Paper-scale rounds: ~24 s at x_max so the controller can explore with
   // accurate (>= ~3 s) measurements, like the real Table-2 tasks.
-  FlSimulationConfig bofl_config = small_config(ControllerKind::kBofl);
+  FlSimulationConfig bofl_config = small_config(core::ControllerKind::kBofl);
   bofl_config.rounds = 30;
   bofl_config.epochs = 2;
   bofl_config.minibatch_size = 8;
   bofl_config.shard_examples = 512;
   bofl_config.deadline_ratio = 3.0;
   FlSimulationConfig perf_config = bofl_config;
-  perf_config.controller = ControllerKind::kPerformant;
+  perf_config.controller = core::ControllerKind::kPerformant;
   FederatedSimulation bofl_sim(agx, bofl_config);
   FederatedSimulation perf_sim(agx, perf_config);
   const FlSimulationResult bofl = bofl_sim.run();
@@ -63,7 +63,7 @@ TEST(Simulation, BoflUsesLessEnergyThanPerformant) {
 
 TEST(Simulation, OracleControllerRuns) {
   const device::DeviceModel agx = device::jetson_agx();
-  FlSimulationConfig config = small_config(ControllerKind::kOracle);
+  FlSimulationConfig config = small_config(core::ControllerKind::kOracle);
   config.rounds = 4;
   FederatedSimulation sim(agx, config);
   const FlSimulationResult result = sim.run();
@@ -71,23 +71,16 @@ TEST(Simulation, OracleControllerRuns) {
   EXPECT_EQ(result.total_dropped_updates(), 0u);
 }
 
-TEST(Simulation, ControllerKindNames) {
-  EXPECT_STREQ(to_string(ControllerKind::kBofl), "BoFL");
-  EXPECT_STREQ(to_string(ControllerKind::kPerformant), "Performant");
-  EXPECT_STREQ(to_string(ControllerKind::kOracle), "Oracle");
-  EXPECT_STREQ(to_string(ControllerKind::kLinear), "LinearModel");
-}
-
 TEST(Simulation, RejectsBadConfig) {
   const device::DeviceModel agx = device::jetson_agx();
-  FlSimulationConfig config = small_config(ControllerKind::kPerformant);
+  FlSimulationConfig config = small_config(core::ControllerKind::kPerformant);
   config.clients_per_round = 99;
   EXPECT_THROW(FederatedSimulation(agx, config), std::invalid_argument);
 }
 
 TEST(Simulation, DeterministicBySeed) {
   const device::DeviceModel agx = device::jetson_agx();
-  FlSimulationConfig config = small_config(ControllerKind::kPerformant);
+  FlSimulationConfig config = small_config(core::ControllerKind::kPerformant);
   config.rounds = 4;
   FederatedSimulation a(agx, config);
   FederatedSimulation b(agx, config);

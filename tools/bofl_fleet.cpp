@@ -1,7 +1,8 @@
 // bofl_fleet — the command-line driver for fleet-scale experiments.
 //
 //   bofl_fleet [--clients N] [--rounds N] [--cohort F] [--jobs N]
-//              [--ratio R] [--seed S] [--controller bofl|performant|oracle]
+//              [--ratio R] [--seed S]
+//              [--controller bofl|performant|oracle|linear]
 //              [--mix agx-vit|edge-mix|global-mix] [--shards N] [--threads N]
 //              [--simd avx2|scalar]
 //              [--het-cv CV] [--noise-cv CV] [--straggler-timeout K]
@@ -13,7 +14,7 @@
 //              [--metrics-out PATH] [--metrics-summary]
 //              [--assert-wall-s S] [--assert-rss-mb MB]
 //
-// Runs the sharded fleet engine (src/fleet): 10^5–10^6 BoFL clients in
+// Runs the sharded fleet engine (src/fleet): 10^5–10^6 clients in
 // struct-of-arrays shards replaying per-cluster canonical trajectories, with
 // event-driven round closes.  Prints the per-round fleet trace plus a
 // summary (energy, phase occupancy, bytes/client, peak RSS, trace hash);
@@ -65,7 +66,8 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--clients N] [--rounds N] [--cohort F] [--jobs N]\n"
-      "          [--ratio R] [--seed S] [--controller bofl|performant|oracle]\n"
+      "          [--ratio R] [--seed S]\n"
+      "          [--controller bofl|performant|oracle|linear]\n"
       "          [--mix agx-vit|edge-mix|global-mix] [--shards N] [--threads N]\n"
       "          [--simd avx2|scalar]\n"
       "          [--het-cv CV] [--noise-cv CV] [--straggler-timeout K]\n"
@@ -136,16 +138,13 @@ int main(int argc, char** argv) {
   config.straggler_timeout = flags.get_double("straggler-timeout", 0.0);
 
   const std::string controller_name = flags.get("controller", "bofl");
-  if (controller_name == "bofl") {
-    config.controller = fleet::FleetControllerKind::kBofl;
-  } else if (controller_name == "performant") {
-    config.controller = fleet::FleetControllerKind::kPerformant;
-  } else if (controller_name == "oracle") {
-    config.controller = fleet::FleetControllerKind::kOracle;
-  } else {
+  const std::optional<core::ControllerKind> kind =
+      core::controller_kind_from_string(controller_name);
+  if (!kind.has_value()) {
     std::fprintf(stderr, "unknown controller: %s\n", controller_name.c_str());
     return usage(argv[0]);
   }
+  config.controller = *kind;
 
   // The population mix.  Models live here for the engine's lifetime.
   const device::DeviceModel agx = device::jetson_agx();

@@ -23,11 +23,8 @@
 
 #include "common/csv.hpp"
 #include "common/flags.hpp"
-#include "core/bofl_controller.hpp"
+#include "core/controller_factory.hpp"
 #include "core/harness.hpp"
-#include "core/linear_controller.hpp"
-#include "core/oracle_controller.hpp"
-#include "core/performant_controller.hpp"
 #include "core/state_io.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/scenarios.hpp"
@@ -87,6 +84,14 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
     linalg::simd::force_level(*level);
+  }
+
+  const std::string controller_name = flags.get("controller", "bofl");
+  const std::optional<core::ControllerKind> kind =
+      core::controller_kind_from_string(controller_name);
+  if (!kind.has_value()) {
+    std::fprintf(stderr, "unknown controller: %s\n", controller_name.c_str());
+    return usage(argv[0]);
   }
 
   const std::string device_name = flags.get("device", "agx");
@@ -163,7 +168,7 @@ int main(int argc, char** argv) {
     telemetry::JsonValue run_start = telemetry::JsonValue::object();
     run_start.set("device", model.name())
         .set("task", task.name)
-        .set("controller", flags.get("controller", "bofl"))
+        .set("controller", controller_name)
         .set("rounds", task.num_rounds)
         .set("ratio", ratio)
         .set("seed", seed)
@@ -180,37 +185,25 @@ int main(int argc, char** argv) {
     runtime::ThreadPool pool(
         static_cast<std::size_t>(flags.get_int("threads", 0)));
 
-    const std::string controller_name = flags.get("controller", "bofl");
-    std::unique_ptr<core::PaceController> controller;
-    if (controller_name == "bofl") {
-      core::BoflOptions options;
-      options.mbo_cost = core::mbo_cost_for_device(model.name());
-      options.tau = Seconds{flags.get_double("tau", 5.0)};
-      auto bofl = std::make_unique<core::BoflController>(
-          model, task.profile, noise, options, seed);
-      bofl->set_parallel_pool(&pool);
-      const std::string state_path = flags.get("load-state", "");
-      if (!state_path.empty()) {
-        bofl->import_state(core::load_state(state_path));
-        std::printf("resumed from %s (phase %d)\n", state_path.c_str(),
-                    static_cast<int>(bofl->phase()));
-      }
-      controller = std::move(bofl);
-    } else if (controller_name == "performant") {
-      controller = std::make_unique<core::PerformantController>(
-          model, task.profile, noise, seed);
-    } else if (controller_name == "oracle") {
-      controller = std::make_unique<core::OracleController>(model, task.profile,
-                                                            noise, seed);
-    } else if (controller_name == "linear") {
-      controller = std::make_unique<core::LinearModelController>(
-          model, task.profile, noise, seed);
-    } else {
-      std::fprintf(stderr, "unknown controller: %s\n", controller_name.c_str());
-      return usage(argv[0]);
+    // The paper's per-device protocol: τ as given (no round T_min cap).
+    core::ControllerSpec spec;
+    spec.kind = *kind;
+    spec.model = &model;
+    spec.profile = task.profile;
+    spec.noise = noise;
+    spec.seed = seed;
+    spec.bofl.tau = Seconds{flags.get_double("tau", 5.0)};
+    spec.pool = &pool;
+    spec.faults = channel.get();
+    const core::BuiltController built = core::make_controller(spec);
+    core::PaceController& controller = *built.controller;
+    const std::string state_path = flags.get("load-state", "");
+    if (built.bofl != nullptr && !state_path.empty()) {
+      built.bofl->import_state(core::load_state(state_path));
+      std::printf("resumed from %s (phase %d)\n", state_path.c_str(),
+                  static_cast<int>(built.bofl->phase()));
     }
     if (channel) {
-      controller->install_fault_model(channel.get());
       std::printf("fault plan: %s (%zu faults, seed %llu)\n",
                   plan->name.empty() ? faults_path.c_str() : plan->name.c_str(),
                   plan->faults.size(),
@@ -220,7 +213,7 @@ int main(int argc, char** argv) {
     std::printf("device=%s task=%s controller=%s ratio=%.2f rounds=%lld "
                 "seed=%llu jobs/round=%lld\n",
                 model.name().c_str(), task.name.c_str(),
-                std::string(controller->name()).c_str(), ratio,
+                std::string(controller.name()).c_str(), ratio,
                 static_cast<long long>(task.num_rounds),
                 static_cast<unsigned long long>(seed),
                 static_cast<long long>(task.jobs_per_round()));
@@ -237,7 +230,7 @@ int main(int argc, char** argv) {
           }
         })
                 : core::RoundHook{};
-    result = core::run_task(*controller, rounds, drain);
+    result = core::run_task(controller, rounds, drain);
     if (channel) {
       std::printf("fault events: %zu\n", fault_events);
     }
@@ -278,10 +271,10 @@ int main(int argc, char** argv) {
         result.all_deadlines_met() ? "all met" : "MISSED");
     const std::string save_path = flags.get("save-state", "");
     if (!save_path.empty()) {
-      if (auto* bofl = dynamic_cast<core::BoflController*>(controller.get())) {
-        core::save_state(*bofl, save_path);
+      if (built.bofl != nullptr) {
+        core::save_state(*built.bofl, save_path);
         std::printf("state saved to %s (%zu configurations)\n",
-                    save_path.c_str(), bofl->export_state().size());
+                    save_path.c_str(), built.bofl->export_state().size());
       } else {
         std::fprintf(stderr,
                      "--save-state only applies to the bofl controller\n");
